@@ -29,9 +29,6 @@ class Transform:
     inv: Callable[[np.ndarray], np.ndarray]
     domain_shift: float  # the alpha in sqrt(z + alpha) / log(z + alpha) forms
 
-    def __call__(self, z):
-        return self.fwd(z)
-
 
 def _power_transform(alpha: float) -> Transform:
     if not 0 < alpha <= 1:

@@ -3,7 +3,7 @@ sweeps with gradient-descent / Fourier-mix / object-mix update rules, the
 20-scheme benchmark registry, and the intensity-constraint adaptation loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -12,21 +12,24 @@ from .cost import (Transform, TRANSFORMS, functional_by_name,
                    gradient_residual)
 from .forward import Dataset, Mode, exit_wave, simulate_dataset
 from .grids import crop_center, dft2, idft2, zero_pad_center
+from .metrics import align_and_error
+
+
+def _unit_phase(v):
+    """v / |v|, with the phase factor defined as 1 where v = 0 so runs
+    stay reproducible."""
+    mod = np.abs(v)
+    return np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
 
 
 def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray) -> np.ndarray:
-    """Replace |G| with the target amplitude while keeping the phase of G.
-
-    Where |G| = 0 the phase factor is defined as 1, so runs stay
-    reproducible.
-    """
+    """Replace |G| with the target amplitude while keeping the phase of G
+    (1 where |G| = 0)."""
     if G.shape != target_amplitude.shape:
         raise ValueError("shape mismatch in modulus substitution")
     if np.any(target_amplitude < 0):
         raise ValueError("target amplitude must be nonnegative")
-    mod = np.abs(G)
-    phase = np.where(mod > 0, G / np.where(mod > 0, mod, 1.0), 1.0)
-    return target_amplitude * phase
+    return target_amplitude * _unit_phase(G)
 
 
 def er_support_iterate(g: np.ndarray, support_mask: np.ndarray,
@@ -38,26 +41,70 @@ def er_support_iterate(g: np.ndarray, support_mask: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# update rule variants
+# update rule variants: update(window, g, G, pattern, probe, mu) changes one
+# probe window of the object in place, given the exit wave g there, its far
+# field G and the measured pattern
 
 @dataclass(frozen=True)
 class GradientDescent:
     """Steepest descent on a cost functional via its Wirtinger gradient."""
     functional: object  # VST or PoissonLogLikelihood
 
+    def step(self, G, pattern, probe, mu):
+        """The descent step mu * conj(P) * dL/dg* for one position."""
+        d = crop_center(idft2(gradient_residual(self.functional, G, pattern)),
+                        *probe.shape)
+        return mu * np.conj(probe) * d
+
+    def update(self, window, g, G, pattern, probe, mu):
+        window -= self.step(G, pattern, probe, mu)
+
+    def describe(self):
+        return ("gradient_descent", self.functional.name)
+
 
 @dataclass(frozen=True)
 class FourierMix:
     """Convex combination of transformed intensities in the Fourier domain,
-    keeping the estimated phase."""
+    keeping the estimated phase; mu = 0 keeps the estimate exactly."""
     transform: Transform
+
+    def update(self, window, g, G, pattern, probe, mu):
+        if mu == 0.0:
+            return
+        t = self.transform
+        z = np.abs(G) ** 2
+        mixed = t.inv((1.0 - mu) * t.fwd(z) + mu * t.fwd(pattern))
+        G_new = np.sqrt(np.maximum(mixed, 0.0)) * _unit_phase(G)
+        g_new = crop_center(idft2(G_new), *probe.shape)
+        window += np.conj(probe) * (g_new - g)
+
+    def describe(self):
+        return ("fourier_mix", self.transform.name)
 
 
 @dataclass(frozen=True)
 class ObjectMix:
     """Full modulus-substitution update followed by a transformed convex
-    combination of old and new object in the object domain."""
+    combination of old and new object in the object domain; mu = 0 keeps
+    the estimate exactly."""
     transform: Transform
+
+    def update(self, window, g, G, pattern, probe, mu):
+        if mu == 0.0:
+            return
+        t = self.transform
+        g_prime = crop_center(idft2(modulus_substitute(G, np.sqrt(pattern))),
+                              *probe.shape)
+        window_prime = window + np.conj(probe) * (g_prime - g)
+        mod = t.inv((1.0 - mu) * t.fwd(np.abs(window))
+                    + mu * t.fwd(np.abs(window_prime)))
+        phase = _unit_phase((1.0 - mu) * _unit_phase(window)
+                            + mu * _unit_phase(window_prime))
+        window[:] = np.maximum(mod, 0.0) * phase
+
+    def describe(self):
+        return ("object_mix", self.transform.name)
 
 
 @dataclass
@@ -73,60 +120,27 @@ class ReconstructionState:
         return cls(object_estimate=np.full(object_dims, value, dtype=complex),
                    rng=np.random.default_rng(seed))
 
-
-def _substituted_exit(G, y, eps_amp=0.0):
-    """g' of the modulus-substitution step: IDFT of G with amplitude sqrt(y)."""
-    return idft2(modulus_substitute(G, np.sqrt(y)))
-
-
-def _phasor_mix(phase_a, phase_b, mu):
-    """Normalized convex combination of two unit phasors."""
-    mix = (1.0 - mu) * phase_a + mu * phase_b
-    mod = np.abs(mix)
-    return np.where(mod > 0, mix / np.where(mod > 0, mod, 1.0), 1.0)
+    def log_error(self, true_object, mask):
+        """Append (iteration, masked error) when a ground truth is given."""
+        if true_object is not None:
+            err = align_and_error(self.object_estimate, true_object, mask)
+            self.error_log.append((self.iteration, err))
 
 
-def _unit_phase(v):
-    mod = np.abs(v)
-    return np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
+def _start_state(dataset: Dataset, init_object, seed) -> ReconstructionState:
+    """A copy of `init_object`, or the constant start when it is None."""
+    if init_object is None:
+        return ReconstructionState.constant_init(
+            dataset.geometry.object_dims, seed=seed)
+    return ReconstructionState(
+        object_estimate=init_object.astype(complex, copy=True),
+        rng=np.random.default_rng(seed))
 
 
-def _apply_rule_at_position(obj, probe, pos, pattern, rule, mu, oversampling):
-    """Update `obj` in place at one probe position. Returns nothing."""
-    if isinstance(rule, (FourierMix, ObjectMix)) and mu == 0.0:
-        return  # exact convex endpoint: no update
-    wh, ww = probe.shape
-    r, c = pos
-    g = exit_wave(obj, probe, pos)
-    G = dft2(zero_pad_center(g, oversampling))
-    window = obj[r:r + wh, c:c + ww]
-
-    if isinstance(rule, GradientDescent):
-        R = gradient_residual(rule.functional, G, pattern)
-        d = crop_center(idft2(R), wh, ww)
-        window -= mu * np.conj(probe) * d
-        return
-
-    if isinstance(rule, FourierMix):
-        t = rule.transform
-        z = np.abs(G) ** 2
-        mixed = t.inv((1.0 - mu) * t.fwd(z) + mu * t.fwd(pattern))
-        G_new = np.sqrt(np.maximum(mixed, 0.0)) * _unit_phase(G)
-        g_new = crop_center(idft2(G_new), wh, ww)
-        window += np.conj(probe) * (g_new - g)
-        return
-
-    if isinstance(rule, ObjectMix):
-        t = rule.transform
-        g_prime = crop_center(_substituted_exit(G, pattern), wh, ww)
-        window_prime = window + np.conj(probe) * (g_prime - g)
-        mod = t.inv((1.0 - mu) * t.fwd(np.abs(window))
-                    + mu * t.fwd(np.abs(window_prime)))
-        phase = _phasor_mix(_unit_phase(window), _unit_phase(window_prime), mu)
-        window[:] = np.maximum(mod, 0.0) * phase
-        return
-
-    raise ValueError(f"unknown rule variant {rule!r}")
+def _far_field(obj, dataset: Dataset, pos):
+    """Exit wave at `pos` and its (oversampled) far field."""
+    g = exit_wave(obj, dataset.probe, pos)
+    return g, dft2(zero_pad_center(g, dataset.oversampling))
 
 
 def position_sweep(state: ReconstructionState, dataset: Dataset,
@@ -139,11 +153,13 @@ def position_sweep(state: ReconstructionState, dataset: Dataset,
     intensity-constraint adapter).
     """
     y = dataset.patterns if patterns is None else patterns
-    order = state.rng.permutation(len(dataset.geometry.positions))
-    for j in order:
-        _apply_rule_at_position(state.object_estimate, dataset.probe,
-                                dataset.geometry.positions[j], y[j],
-                                rule, mu, dataset.oversampling)
+    positions = dataset.geometry.positions
+    obj = state.object_estimate
+    wh, ww = dataset.probe.shape
+    for j in state.rng.permutation(len(positions)):
+        g, G = _far_field(obj, dataset, positions[j])
+        r, c = positions[j]
+        rule.update(obj[r:r + wh, c:c + ww], g, G, y[j], dataset.probe, mu)
     state.iteration += 1
     return state
 
@@ -153,16 +169,13 @@ def global_gradient_step(state: ReconstructionState, dataset: Dataset,
     """One simultaneous update accumulating all positions' gradient
     contributions before touching the object."""
     obj = state.object_estimate
-    probe = dataset.probe
-    wh, ww = probe.shape
+    wh, ww = dataset.probe.shape
+    rule = GradientDescent(functional)
     accum = np.zeros_like(obj)
     for pos, pattern in zip(dataset.geometry.positions, dataset.patterns):
-        g = exit_wave(obj, probe, pos)
-        G = dft2(zero_pad_center(g, dataset.oversampling))
-        R = gradient_residual(functional, G, pattern)
-        d = crop_center(idft2(R), wh, ww)
+        _, G = _far_field(obj, dataset, pos)
         r, c = pos
-        accum[r:r + wh, c:c + ww] += np.conj(probe) * d
+        accum[r:r + wh, c:c + ww] += rule.step(G, pattern, dataset.probe, 1.0)
     state.object_estimate = obj - mu * accum
     state.iteration += 1
     return state
@@ -180,12 +193,7 @@ class SchemeSpec:
     refinement_iterations: int = 200
 
     def describe(self):
-        rule = self.refinement_rule
-        if isinstance(rule, GradientDescent):
-            return ("gradient_descent", rule.functional.name)
-        if isinstance(rule, FourierMix):
-            return ("fourier_mix", rule.transform.name)
-        return ("object_mix", rule.transform.name)
+        return self.refinement_rule.describe()
 
 
 _AMPLITUDE = functional_by_name("sqrt")
@@ -219,9 +227,8 @@ def scheme(scheme_id: int, warmup_iterations: int = 100,
     overriding the iteration counts."""
     if scheme_id not in SCHEMES:
         raise ValueError(f"unknown scheme id {scheme_id}; valid ids are 1..20")
-    base = SCHEMES[scheme_id]
-    return SchemeSpec(base.id, base.refinement_rule, base.mu,
-                      warmup_iterations, refinement_iterations)
+    return replace(SCHEMES[scheme_id], warmup_iterations=warmup_iterations,
+                   refinement_iterations=refinement_iterations)
 
 
 def run_scheme(spec: SchemeSpec, dataset: Dataset,
@@ -235,28 +242,14 @@ def run_scheme(spec: SchemeSpec, dataset: Dataset,
     Logs the masked reconstruction error once per sweep when a ground
     truth is given.
     """
-    from .metrics import align_and_error
-
-    oh, ow = dataset.geometry.object_dims
-    if init_object is None:
-        state = ReconstructionState.constant_init((oh, ow), seed=seed)
-    else:
-        state = ReconstructionState(object_estimate=init_object.astype(complex,
-                                                                       copy=True),
-                                    rng=np.random.default_rng(seed))
-
-    def log_error():
-        if true_object is not None:
-            err = align_and_error(state.object_estimate, true_object, mask)
-            state.error_log.append((state.iteration, err))
-
-    log_error()
+    state = _start_state(dataset, init_object, seed)
+    state.log_error(true_object, mask)
     for _ in range(spec.warmup_iterations):
         position_sweep(state, dataset, WARMUP_RULE, 1.0)
-        log_error()
+        state.log_error(true_object, mask)
     for _ in range(spec.refinement_iterations):
         position_sweep(state, dataset, spec.refinement_rule, spec.mu)
-        log_error()
+        state.log_error(true_object, mask)
     return state
 
 
@@ -290,23 +283,13 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
 
     Returns (final state, final m~ stack).
     """
-    from .metrics import align_and_error
-
-    oh, ow = dataset.geometry.object_dims
-    if init_object is None:
-        state = ReconstructionState.constant_init((oh, ow), seed=seed)
-    else:
-        state = ReconstructionState(object_estimate=init_object.astype(complex,
-                                                                       copy=True),
-                                    rng=np.random.default_rng(seed))
+    state = _start_state(dataset, init_object, seed)
     m_tilde = dataset.patterns.astype(float, copy=True)
     for _ in range(config.outer_rounds):
         for _ in range(config.inner_sweeps):
             position_sweep(state, dataset, config.inner_rule,
                            config.inner_mu, patterns=m_tilde)
-            if true_object is not None:
-                err = align_and_error(state.object_estimate, true_object, mask)
-                state.error_log.append((state.iteration, err))
+            state.log_error(true_object, mask)
         if config.mu_c > 0.0:
             # the estimate already lives in the effective (real-space-
             # equivalent) domain, so always re-simulate in real-space terms

@@ -59,6 +59,18 @@ class ExperimentConfig:
         for sid in self.scheme_ids:
             if sid not in engine.SCHEMES:
                 raise ValueError(f"unknown scheme id {sid}")
+        if len(set(self.scheme_ids)) != len(self.scheme_ids):
+            raise ValueError(f"duplicate scheme ids in {self.scheme_ids}")
+        for name in ("warmup_iterations", "refinement_iterations",
+                     "scan_jitter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.adapter_inner_sweeps < 1 or self.adapter_outer_rounds < 1:
+            raise ValueError("adapter_inner_sweeps and adapter_outer_rounds "
+                             "must be >= 1")
+        if any(w > o for w, o in zip(self.window, self.object_dims)):
+            raise ValueError(f"window {self.window} is larger than the "
+                             f"object {self.object_dims}")
         if self.photon_budget <= 0:
             raise ValueError("photon budget must be positive")
         return self
@@ -72,19 +84,28 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_CONFIG_TUPLE_KEYS = {"object_dims", "window", "scheme_ids"}
-_CONFIG_INT_KEYS = {"scan_step", "scan_jitter", "oversampling",
-                    "warmup_iterations", "refinement_iterations",
-                    "adapter_inner_sweeps", "adapter_outer_rounds",
-                    "realizations", "master_seed"}
-_CONFIG_FLOAT_KEYS = {"probe_radius", "photon_budget", "adapter_mu_c"}
-_CONFIG_BOOL_KEYS = {"adapter"}
+def _parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return lowered in ("1", "true", "yes")
+
+
+# value parser for each config field, by the type of its default
+_PARSERS = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    tuple: lambda value: tuple(int(v) for v in value.replace("x", ",")
+                               .split(",") if v.strip()),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat key = value config document; unknown keys are errors."""
     cfg = ExperimentConfig()
-    known = set(asdict(cfg))
+    defaults = asdict(cfg)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,19 +114,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', "
                              f"got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in defaults:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key in _CONFIG_TUPLE_KEYS:
-            parsed = tuple(int(v) for v in value.replace("x", ",").split(",")
-                           if v.strip())
-        elif key in _CONFIG_INT_KEYS:
-            parsed = int(value)
-        elif key in _CONFIG_FLOAT_KEYS:
-            parsed = float(value)
-        elif key in _CONFIG_BOOL_KEYS:
-            parsed = value.lower() in ("1", "true", "yes")
-        else:
-            parsed = value
+        try:
+            parsed = _PARSERS[type(defaults[key])](value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
         setattr(cfg, key, parsed)
     return cfg.validate()
 
@@ -117,10 +131,6 @@ class ExperimentRecord:
     cells: dict = field(default_factory=dict)   # (scheme, realization) -> cell
     summaries: dict = field(default_factory=dict)  # scheme -> stats
     meta: dict = field(default_factory=dict)
-
-    def curves(self, scheme_id: int):
-        return [self.cells[key]["curve"] for key in sorted(self.cells)
-                if key[0] == scheme_id and self.cells[key]["ok"]]
 
     def final_errors(self, scheme_id: int):
         return [self.cells[key]["final_error"] for key in sorted(self.cells)
@@ -186,6 +196,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         dataset = Dataset(mode, geometry, cfg.oversampling, noisy, probe)
         for sid in cfg.scheme_ids:
             cell = {"ok": True, "seed": rseed}
+            # a numeric failure fails only this cell; a programming error
+            # raises
             try:
                 if cfg.adapter:
                     adapter_cfg = engine.AdapterConfig(
@@ -212,7 +224,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
                                           "(non-finite error)")
                 cell["curve"] = curve
                 cell["final_error"] = final
-            except Exception as exc:  # failure isolation per cell
+            except (ArithmeticError, ValueError,
+                    np.linalg.LinAlgError) as exc:
                 cell.update(ok=False, error=f"{type(exc).__name__}: {exc}",
                             curve=[], final_error=float("nan"))
             record.cells[(sid, r)] = cell
@@ -232,10 +245,14 @@ def compare_schemes(record: ExperimentRecord, baseline_id: int,
     for sid in (baseline_id, candidate_id):
         if not any(key[0] == sid for key in record.cells):
             raise ValueError(f"scheme {sid} not present in the record")
-    base = record.final_errors(baseline_id)
-    cand = record.final_errors(candidate_id)
-    n = min(len(base), len(cand))
-    diffs = np.asarray(cand[:n]) - np.asarray(base[:n])
+    base, cand = ({r: cell["final_error"]
+                   for (s, r), cell in record.cells.items()
+                   if s == sid and cell["ok"]}
+                  for sid in (baseline_id, candidate_id))
+    # pair on the realization: one where either scheme failed has no pair
+    paired = sorted(base.keys() & cand.keys())
+    n = len(paired)
+    diffs = np.asarray([cand[r] - base[r] for r in paired])
     wins = int(np.sum(diffs < 0))
     losses = int(np.sum(diffs > 0))
     trials = wins + losses

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import ptybench.engine
-from ptybench import (ExperimentConfig, compare_schemes, export, load_record,
-                      parse_config)
+from ptybench import (ExperimentConfig, ExperimentRecord, compare_schemes,
+                      export, load_record, parse_config)
 from ptybench.harness import run_experiment
 
 
@@ -45,6 +45,11 @@ def test_parse_config_unknown_key_errors():
         parse_config("not_a_key = 3")
 
 
+def test_parse_config_rejects_misspelled_boolean():
+    with pytest.raises(ValueError, match="line 1: adapter"):
+        parse_config("adapter = ture")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(oversampling=3).validate()
@@ -52,6 +57,22 @@ def test_config_validation():
         small_config(scheme_ids=(99,)).validate()
     with pytest.raises(ValueError):
         small_config(photon_budget=-1.0).validate()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(scheme_ids=(1, 2, 1)), "duplicate scheme ids"),
+    (dict(warmup_iterations=-1), "warmup_iterations"),
+    (dict(refinement_iterations=-1), "refinement_iterations"),
+    (dict(scan_jitter=-1), "scan_jitter"),
+    (dict(adapter_inner_sweeps=0), "adapter_inner_sweeps"),
+    (dict(adapter_outer_rounds=0), "adapter_outer_rounds"),
+    (dict(window=(16, 40)), "larger than the object"),
+], ids=["duplicate_schemes", "negative_warmup", "negative_refinement",
+        "negative_jitter", "inner_sweeps_zero", "outer_rounds_zero",
+        "window_too_large"])
+def test_config_validation_rejects(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(**overrides).validate()
 
 
 def test_config_hash_stable():
@@ -104,6 +125,19 @@ def test_failure_isolation(monkeypatch):
         assert record.cells[(1, r)]["ok"] is True  # siblings unaffected
 
 
+def test_programming_error_propagates(monkeypatch):
+    original = ptybench.engine.run_scheme
+
+    def broken(spec, *args, **kwargs):
+        if spec.id == 2:
+            raise TypeError("synthetic bug")
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr("ptybench.harness.engine.run_scheme", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_experiment(small_config(realizations=1))
+
+
 # --- comparisons ----------------------------------------------------------------
 
 def test_compare_scheme_with_itself():
@@ -124,6 +158,20 @@ def test_compare_all_wins_p_value():
     result = compare_schemes(record, 1, 2)
     assert result["candidate_wins"] == 20
     assert result["sign_test_p"] == pytest.approx(2 * 0.5 ** 20, rel=1e-9)
+
+
+def test_compare_pairs_on_realization_after_failed_cell():
+    # the candidate fails in realization 0 and is 0.5 better in 1..3
+    record = ExperimentRecord(config={}, config_hash="")
+    for r in range(4):
+        record.cells[(1, r)] = {"ok": True, "final_error": 1.0 + r}
+        record.cells[(2, r)] = {"ok": True, "final_error": 0.5 + r}
+    record.cells[(2, 0)] = {"ok": False, "final_error": float("nan")}
+    result = compare_schemes(record, 1, 2)
+    assert result["n_pairs"] == 3
+    assert result["candidate_wins"] == 3
+    assert result["candidate_losses"] == 0
+    assert result["median_difference"] == -0.5
 
 
 def test_compare_missing_scheme_errors():
