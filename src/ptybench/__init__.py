@@ -2,11 +2,11 @@
 
 from .grids import dft2, idft2, zero_pad_center, crop_center
 from .forward import (Mode, ScanGeometry, Dataset, make_probe,
-                      raster_positions, exit_wave, diffract,
+                      raster_positions, exit_wave, far_field, diffract,
                       simulate_dataset, synthesize_object)
 from .noise import (NoiseModel, scale_to_budget, sample_poisson,
                     sample_speckle, apply_noise, poisson_log_pmf)
-from .cost import (Transform, TRANSFORMS, VST, PoissonLogLikelihood,
+from .cost import (Transform, TRANSFORMS, PoissonLogLikelihood,
                    FUNCTIONAL_NAMES, functional_by_name, cost_eval,
                    gradient_residual, taylor_gap)
 from .engine import (GradientDescent, FourierMix, ObjectMix, SchemeSpec,

@@ -50,8 +50,13 @@ def _load_dataset(path):
     return dataset, truth
 
 
+def _read_config(path):
+    with open(path, encoding="utf-8") as f:
+        return harness.parse_config(f.read())
+
+
 def _cmd_simulate(args):
-    cfg = harness.parse_config(open(args.config, encoding="utf-8").read())
+    cfg = _read_config(args.config)
     _, truth, probe, geometry, _, clean = harness.build_problem(cfg)
     model = NoiseModel(cfg.noise_model)
     seed = harness.realization_seed(cfg.master_seed, args.realization)
@@ -81,7 +86,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_bench(args):
-    cfg = harness.parse_config(open(args.config, encoding="utf-8").read())
+    cfg = _read_config(args.config)
     if args.output_dir:
         cfg.output_dir = args.output_dir
     record = harness.run_experiment(cfg)

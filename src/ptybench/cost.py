@@ -21,13 +21,25 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Transform:
-    """A monotone intensity transform with derivative and inverse."""
+    """A monotone intensity transform with derivative and inverse; as a
+    cost functional it is the variance-stabilized sum (T(z) - T(y))^2."""
 
     name: str
     fwd: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
-    domain_shift: float  # the alpha in sqrt(z + alpha) / log(z + alpha) forms
+
+    def cost(self, z: np.ndarray, y: np.ndarray) -> float:
+        return float(np.sum((self.fwd(z) - self.fwd(y)) ** 2))
+
+    def residual(self, G: np.ndarray, z: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        """R = 2 (T(z) - T(y)) T'(z) G, set to 0 where z = 0 (limit
+        convention: a dark estimate carries no phase information)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            R = 2.0 * (self.fwd(z) - self.fwd(y)) * self.deriv(z) * G
+        R[z == 0] = 0
+        return R
 
 
 def _power_transform(alpha: float) -> Transform:
@@ -38,7 +50,6 @@ def _power_transform(alpha: float) -> Transform:
         fwd=lambda z: np.power(z, alpha),
         deriv=lambda z: alpha * np.power(z, alpha - 1),
         inv=lambda v: np.power(np.maximum(v, 0.0), 1.0 / alpha),
-        domain_shift=0.0,
     )
 
 
@@ -48,7 +59,6 @@ def _shifted_sqrt(name: str, shift: float) -> Transform:
         fwd=lambda z: np.sqrt(z + shift),
         deriv=lambda z: 0.5 / np.sqrt(z + shift),
         inv=lambda v: np.maximum(v, 0.0) ** 2 - shift,
-        domain_shift=shift,
     )
 
 
@@ -58,14 +68,13 @@ def _shifted_log(name: str, shift: float) -> Transform:
         fwd=lambda z: np.log(z + shift),
         deriv=lambda z: 1.0 / (z + shift),
         inv=lambda v: np.exp(v) - shift,
-        domain_shift=shift,
     )
 
 
 TRANSFORMS = {
     "identity": Transform("identity", lambda z: np.asarray(z, dtype=float),
                           lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                          lambda v: np.asarray(v, dtype=float), 0.0),
+                          lambda v: np.asarray(v, dtype=float)),
     "sqrt": _shifted_sqrt("sqrt", 0.0),
     "anscombe": _shifted_sqrt("anscombe", 3.0 / 8.0),
     "sqrt_plus_1": _shifted_sqrt("sqrt_plus_1", 1.0),
@@ -74,17 +83,6 @@ TRANSFORMS = {
     "log_half": _shifted_log("log_half", 0.5),
     "log_1": _shifted_log("log_1", 1.0),
 }
-
-
-@dataclass(frozen=True)
-class VST:
-    """Variance-stabilized cost: sum over pixels of (T(z) - T(y))^2."""
-
-    transform: Transform
-
-    @property
-    def name(self):
-        return self.transform.name
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,21 @@ class PoissonLogLikelihood:
             return self.epsilon
         return 1e-8 * max(float(np.mean(y)), 1e-300)
 
+    def cost(self, z: np.ndarray, y: np.ndarray) -> float:
+        return float(np.sum(z - y * np.log(z + self.eps_for(y))))
+
+    def residual(self, G: np.ndarray, z: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        """R = (1 - y / (z + eps)) G."""
+        return (1.0 - y / (z + self.eps_for(y))) * G
+
 
 def functional_by_name(name: str, epsilon: float = 0.0):
     """Resolve a stable string identifier to a cost functional."""
     if name == "poisson_loglik":
         return PoissonLogLikelihood(epsilon)
     if name in TRANSFORMS:
-        return VST(TRANSFORMS[name])
+        return TRANSFORMS[name]
     raise ValueError(f"unknown cost functional {name!r}")
 
 
@@ -125,36 +131,15 @@ def cost_eval(functional, z: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if z.shape != y.shape:
         raise ValueError(f"shape mismatch: z {z.shape} vs y {y.shape}")
-    if isinstance(functional, VST):
-        t = functional.transform
-        return float(np.sum((t.fwd(z) - t.fwd(y)) ** 2))
-    eps = functional.eps_for(y)
-    return float(np.sum(z - y * np.log(z + eps)))
+    return functional.cost(z, y)
 
 
 def gradient_residual(functional, G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fourier-domain residual R(u) with dL/dg* = idft2(R), z = |G|^2.
-
-    VST: R = 2 (T(z) - T(y)) T'(z) G; pixels where z = 0 and the
-    transform has no domain shift are set to 0 (limit convention: a dark
-    estimate carries no phase information).
-    Poisson log-likelihood: R = (1 - y / (z + eps)) G.
-    """
+    """Fourier-domain residual R(u) with dL/dg* = idft2(R), z = |G|^2;
+    the functional's `residual` gives its formula."""
     if G.shape != y.shape:
         raise ValueError(f"shape mismatch: G {G.shape} vs y {y.shape}")
-    z = np.abs(G) ** 2
-    if isinstance(functional, VST):
-        t = functional.transform
-        if t.domain_shift == 0.0:
-            safe = z > 0
-            R = np.zeros_like(G)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factor = 2.0 * (t.fwd(z) - t.fwd(y)) * t.deriv(z)
-            R[safe] = factor[safe] * G[safe]
-            return R
-        return 2.0 * (t.fwd(z) - t.fwd(y)) * t.deriv(z) * G
-    eps = functional.eps_for(y)
-    return (1.0 - y / (z + eps)) * G
+    return functional.residual(G, np.abs(G) ** 2, y)
 
 
 def taylor_gap(z: float, y: float) -> float:

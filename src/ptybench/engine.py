@@ -10,8 +10,8 @@ import numpy as np
 
 from .cost import (Transform, TRANSFORMS, functional_by_name,
                    gradient_residual)
-from .forward import Dataset, Mode, exit_wave, simulate_dataset
-from .grids import crop_center, dft2, idft2, zero_pad_center
+from .forward import Dataset, Mode, exit_wave, far_field, simulate_dataset
+from .grids import crop_center, dft2, idft2
 from .metrics import align_and_error
 
 
@@ -48,7 +48,7 @@ def er_support_iterate(g: np.ndarray, support_mask: np.ndarray,
 @dataclass(frozen=True)
 class GradientDescent:
     """Steepest descent on a cost functional via its Wirtinger gradient."""
-    functional: object  # VST or PoissonLogLikelihood
+    functional: object  # Transform or PoissonLogLikelihood
 
     def step(self, G, pattern, probe, mu):
         """The descent step mu * conj(P) * dL/dg* for one position."""
@@ -121,10 +121,15 @@ class ReconstructionState:
                    rng=np.random.default_rng(seed))
 
     def log_error(self, true_object, mask):
-        """Append (iteration, masked error) when a ground truth is given."""
+        """Append (iteration, masked error) when a ground truth is given;
+        a non-finite error raises ArithmeticError, so a diverging run
+        stops at the first sweep that shows it."""
         if true_object is not None:
             err = align_and_error(self.object_estimate, true_object, mask)
             self.error_log.append((self.iteration, err))
+            if not np.isfinite(err):
+                raise ArithmeticError(f"reconstruction diverged at sweep "
+                                      f"{self.iteration} (error {err})")
 
 
 def _start_state(dataset: Dataset, init_object, seed) -> ReconstructionState:
@@ -137,29 +142,19 @@ def _start_state(dataset: Dataset, init_object, seed) -> ReconstructionState:
         rng=np.random.default_rng(seed))
 
 
-def _far_field(obj, dataset: Dataset, pos):
-    """Exit wave at `pos` and its (oversampled) far field."""
-    g = exit_wave(obj, dataset.probe, pos)
-    return g, dft2(zero_pad_center(g, dataset.oversampling))
-
-
 def position_sweep(state: ReconstructionState, dataset: Dataset,
-                   rule, mu: float,
-                   patterns: Optional[np.ndarray] = None) -> ReconstructionState:
+                   rule, mu: float) -> ReconstructionState:
     """One full sweep of sequential per-position updates, in shuffled order
-    drawn from the state's stream. Mutates and returns `state`.
-
-    `patterns` overrides the dataset's measured stack (used by the
-    intensity-constraint adapter).
-    """
-    y = dataset.patterns if patterns is None else patterns
+    drawn from the state's stream. Mutates and returns `state`."""
     positions = dataset.geometry.positions
     obj = state.object_estimate
     wh, ww = dataset.probe.shape
     for j in state.rng.permutation(len(positions)):
-        g, G = _far_field(obj, dataset, positions[j])
+        g = exit_wave(obj, dataset.probe, positions[j])
+        G = far_field(g, dataset.oversampling)
         r, c = positions[j]
-        rule.update(obj[r:r + wh, c:c + ww], g, G, y[j], dataset.probe, mu)
+        rule.update(obj[r:r + wh, c:c + ww], g, G, dataset.patterns[j],
+                    dataset.probe, mu)
     state.iteration += 1
     return state
 
@@ -173,7 +168,8 @@ def global_gradient_step(state: ReconstructionState, dataset: Dataset,
     rule = GradientDescent(functional)
     accum = np.zeros_like(obj)
     for pos, pattern in zip(dataset.geometry.positions, dataset.patterns):
-        _, G = _far_field(obj, dataset, pos)
+        G = far_field(exit_wave(obj, dataset.probe, pos),
+                      dataset.oversampling)
         r, c = pos
         accum[r:r + wh, c:c + ww] += rule.step(G, pattern, dataset.probe, 1.0)
     state.object_estimate = obj - mu * accum
@@ -286,9 +282,10 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
     state = _start_state(dataset, init_object, seed)
     m_tilde = dataset.patterns.astype(float, copy=True)
     for _ in range(config.outer_rounds):
+        constrained = replace(dataset, patterns=m_tilde)
         for _ in range(config.inner_sweeps):
-            position_sweep(state, dataset, config.inner_rule,
-                           config.inner_mu, patterns=m_tilde)
+            position_sweep(state, constrained, config.inner_rule,
+                           config.inner_mu)
             state.log_error(true_object, mask)
         if config.mu_c > 0.0:
             # the estimate already lives in the effective (real-space-

@@ -140,10 +140,14 @@ def exit_wave(obj: np.ndarray, probe: np.ndarray, position: tuple) -> np.ndarray
     return obj[r:r + wh, c:c + ww] * probe
 
 
+def far_field(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
+    """Far field F{exit wave zero-padded by the oversampling factor}."""
+    return dft2(zero_pad_center(exit_field, oversampling))
+
+
 def diffract(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
     """Far-field intensity |F{padded exit wave}|^2."""
-    spectrum = dft2(zero_pad_center(exit_field, oversampling))
-    return np.abs(spectrum) ** 2
+    return np.abs(far_field(exit_field, oversampling)) ** 2
 
 
 def simulate_dataset(obj: np.ndarray, probe: np.ndarray,

@@ -265,6 +265,14 @@ def test_unknown_scheme_raises():
         scheme(21)
 
 
+def test_run_scheme_stops_at_first_non_finite_error():
+    truth, dataset = toy_problem(seed=13)
+    diverged = np.full(dataset.geometry.object_dims, np.nan, dtype=complex)
+    with pytest.raises(ArithmeticError, match="diverged at sweep 0"):
+        run_scheme(scheme(1, 2, 2), dataset, init_object=diverged,
+                   true_object=truth)
+
+
 # --- intensity-constraint adapter -------------------------------------------------
 
 def test_adapter_mu_zero_matches_baseline_trajectory():

@@ -67,9 +67,10 @@ def test_config_validation():
     (dict(adapter_inner_sweeps=0), "adapter_inner_sweeps"),
     (dict(adapter_outer_rounds=0), "adapter_outer_rounds"),
     (dict(window=(16, 40)), "larger than the object"),
+    (dict(adapter_mu_c=1.5), "adapter_mu_c"),
 ], ids=["duplicate_schemes", "negative_warmup", "negative_refinement",
         "negative_jitter", "inner_sweeps_zero", "outer_rounds_zero",
-        "window_too_large"])
+        "window_too_large", "adapter_mu_c_above_one"])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_config(**overrides).validate()
@@ -172,6 +173,16 @@ def test_compare_pairs_on_realization_after_failed_cell():
     assert result["candidate_wins"] == 3
     assert result["candidate_losses"] == 0
     assert result["median_difference"] == -0.5
+
+
+def test_compare_without_shared_realization_errors():
+    # the candidate fails in every realization: there is nothing to pair
+    record = ExperimentRecord(config={}, config_hash="")
+    for r in range(2):
+        record.cells[(1, r)] = {"ok": True, "final_error": 1.0}
+        record.cells[(3, r)] = {"ok": False, "final_error": float("nan")}
+    with pytest.raises(ValueError, match="schemes 1 and 3"):
+        compare_schemes(record, 1, 3)
 
 
 def test_compare_missing_scheme_errors():
