@@ -12,7 +12,8 @@ from .cost import (Transform, TRANSFORMS, PoissonLogLikelihood,
 from .engine import (GradientDescent, FourierMix, ObjectMix, SchemeSpec,
                      ReconstructionState, AdapterConfig, SCHEMES, scheme,
                      modulus_substitute, er_support_iterate, position_sweep,
-                     global_gradient_step, run_scheme, adapt_constraints)
+                     global_gradient_step, warm_start, run_scheme,
+                     adapt_constraints)
 from .metrics import illumination_mask, align_and_error
 from .harness import (ExperimentConfig, ExperimentRecord, parse_config,
                       run_experiment, compare_schemes, export, load_record)

@@ -7,7 +7,11 @@ Subcommands:
   compare      paired scheme comparison from a stored record.json
 
 Exits 0 on success; on failure prints a single machine-readable
-``error: <message>`` line to stderr and exits 1.
+``error: <message>`` line to stderr and exits 1. ``bench`` prints one
+``failed cell: scheme S realization R <ErrorType>`` line per
+(scheme, realization) cell that failed numerically and a
+``failed cells: F of N`` total; it exits 0 when at least one cell ran ok
+and 1 when every cell failed.
 """
 
 import argparse
@@ -98,7 +102,14 @@ def _cmd_bench(args):
         else:
             print(f"scheme {sid:2d}: median {summary['median']:.6g} "
                   f"mean {summary['mean']:.6g} (n={summary['n']})")
+    failed = [(key, cell["error"].split(":", 1)[0])
+              for key, cell in sorted(record.cells.items()) if not cell["ok"]]
+    for (sid, r), kind in failed:
+        print(f"failed cell: scheme {sid} realization {r} {kind}")
+    print(f"failed cells: {len(failed)} of {len(record.cells)}")
     print("wrote " + ", ".join(paths.values()))
+    if len(failed) == len(record.cells):
+        raise RuntimeError("every cell failed")
 
 
 def _cmd_compare(args):

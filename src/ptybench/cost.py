@@ -91,17 +91,21 @@ class PoissonLogLikelihood:
 
     eps regularizes the log and the y/z gradient term, which otherwise
     diverge at dark pixels. eps <= 0 means "derive from the data":
-    eps = 1e-8 * mean(y) at evaluation time.
+    eps = 1e-8 * mean(y) at evaluation time, the mean taken over each 2D
+    pattern on its own, so a stack of patterns gets the eps of each.
     """
 
     epsilon: float = 0.0
 
     name = "poisson_loglik"
 
-    def eps_for(self, y: np.ndarray) -> float:
+    def eps_for(self, y: np.ndarray):
+        """The eps for y: a float, or an array that broadcasts against y
+        with one value per 2D pattern."""
         if self.epsilon > 0:
             return self.epsilon
-        return 1e-8 * max(float(np.mean(y)), 1e-300)
+        return 1e-8 * np.maximum(np.mean(y, axis=(-2, -1), keepdims=True),
+                                 1e-300)
 
     def cost(self, z: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum(z - y * np.log(z + self.eps_for(y))))

@@ -1,8 +1,15 @@
 """Reconstruction engines: Error Reduction, sequential ptychographic
 sweeps with gradient-descent / Fourier-mix / object-mix update rules, the
 20-scheme benchmark registry, and the intensity-constraint adaptation loop.
+
+A reconstruction runs on one object (H, W), or on a stack (R, H, W) of
+independent reconstructions from a batched Dataset whose patterns[j] is
+the (R, h, w) stack at position j. All R visit the positions in the same
+order, so one sweep updates the whole stack; each slice equals, bit for
+bit, the run of its own 2D dataset.
 """
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -43,7 +50,8 @@ def er_support_iterate(g: np.ndarray, support_mask: np.ndarray,
 # ---------------------------------------------------------------------------
 # update rule variants: update(window, g, G, pattern, probe, mu) changes one
 # probe window of the object in place, given the exit wave g there, its far
-# field G and the measured pattern
+# field G and the measured pattern; on an object stack each argument but the
+# probe carries the stack's leading axis
 
 @dataclass(frozen=True)
 class GradientDescent:
@@ -109,43 +117,77 @@ class ObjectMix:
 
 @dataclass
 class ReconstructionState:
+    """One object estimate (H, W) or a stack of them (R, H, W), with the
+    sweep count, the error log and the stream that orders the sweeps.
+
+    For a stack, each error_log entry holds an (R,) array of errors, and
+    `failures` maps the index of each slice whose error turned non-finite
+    to its ArithmeticError; that slice is no longer scored, and the others
+    go on unchanged.
+    """
     object_estimate: np.ndarray
     iteration: int = 0
     error_log: list = field(default_factory=list)
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0))
+    failures: dict = field(default_factory=dict)
 
     @classmethod
     def constant_init(cls, object_dims, value=1.0 + 0.0j, seed=0):
         return cls(object_estimate=np.full(object_dims, value, dtype=complex),
                    rng=np.random.default_rng(seed))
 
+    def fork(self) -> "ReconstructionState":
+        """An independent copy: object, error log, failures and rng."""
+        return copy.deepcopy(self)
+
+    def all_failed(self) -> bool:
+        return (self.object_estimate.ndim > 2
+                and len(self.failures) == len(self.object_estimate))
+
     def log_error(self, true_object, mask):
-        """Append (iteration, masked error) when a ground truth is given;
-        a non-finite error raises ArithmeticError, so a diverging run
-        stops at the first sweep that shows it."""
-        if true_object is not None:
-            err = align_and_error(self.object_estimate, true_object, mask)
-            self.error_log.append((self.iteration, err))
+        """Append (iteration, masked error) when a ground truth is given.
+        A non-finite error raises ArithmeticError on a 2D estimate, so a
+        diverging run stops at the first sweep that shows it; in a stack it
+        marks only its slice failed, and that slice's error reads NaN from
+        then on."""
+        if true_object is None:
+            return
+        obj = self.object_estimate
+        slices = obj.reshape((-1,) + obj.shape[-2:])
+        errors = np.full(len(slices), np.nan)
+        for k, estimate in enumerate(slices):
+            if k in self.failures:
+                continue
+            err = errors[k] = align_and_error(estimate, true_object, mask)
             if not np.isfinite(err):
-                raise ArithmeticError(f"reconstruction diverged at sweep "
-                                      f"{self.iteration} (error {err})")
+                self.failures[k] = ArithmeticError(
+                    f"reconstruction diverged at sweep {self.iteration} "
+                    f"(error {err})")
+        if obj.ndim == 2:
+            self.error_log.append((self.iteration, float(errors[0])))
+            if self.failures:
+                raise self.failures[0]
+        else:
+            self.error_log.append((self.iteration, errors))
 
 
 def _start_state(dataset: Dataset, init_object, seed) -> ReconstructionState:
-    """A copy of `init_object`, or the constant start when it is None."""
+    """A copy of `init_object`, or the constant start when it is None, for
+    each reconstruction in the dataset's batch."""
+    shape = dataset.patterns.shape[1:-2] + dataset.geometry.object_dims
     if init_object is None:
-        return ReconstructionState.constant_init(
-            dataset.geometry.object_dims, seed=seed)
+        return ReconstructionState.constant_init(shape, seed=seed)
     return ReconstructionState(
-        object_estimate=init_object.astype(complex, copy=True),
+        object_estimate=np.broadcast_to(init_object, shape).astype(complex),
         rng=np.random.default_rng(seed))
 
 
 def position_sweep(state: ReconstructionState, dataset: Dataset,
                    rule, mu: float) -> ReconstructionState:
     """One full sweep of sequential per-position updates, in shuffled order
-    drawn from the state's stream. Mutates and returns `state`."""
+    drawn from the state's stream; an object stack is swept as one, against
+    a batched dataset. Mutates and returns `state`."""
     positions = dataset.geometry.positions
     obj = state.object_estimate
     wh, ww = dataset.probe.shape
@@ -153,7 +195,7 @@ def position_sweep(state: ReconstructionState, dataset: Dataset,
         g = exit_wave(obj, dataset.probe, positions[j])
         G = far_field(g, dataset.oversampling)
         r, c = positions[j]
-        rule.update(obj[r:r + wh, c:c + ww], g, G, dataset.patterns[j],
+        rule.update(obj[..., r:r + wh, c:c + ww], g, G, dataset.patterns[j],
                     dataset.probe, mu)
     state.iteration += 1
     return state
@@ -171,7 +213,8 @@ def global_gradient_step(state: ReconstructionState, dataset: Dataset,
         G = far_field(exit_wave(obj, dataset.probe, pos),
                       dataset.oversampling)
         r, c = pos
-        accum[r:r + wh, c:c + ww] += rule.step(G, pattern, dataset.probe, 1.0)
+        accum[..., r:r + wh, c:c + ww] += rule.step(G, pattern, dataset.probe,
+                                                    1.0)
     state.object_estimate = obj - mu * accum
     state.iteration += 1
     return state
@@ -227,26 +270,51 @@ def scheme(scheme_id: int, warmup_iterations: int = 100,
                    refinement_iterations=refinement_iterations)
 
 
-def run_scheme(spec: SchemeSpec, dataset: Dataset,
+def _sweeps(state, dataset, rule, mu, count, true_object, mask):
+    """`count` sweeps, each followed by its error; stops early once every
+    slice of a stack has failed."""
+    for _ in range(count):
+        if state.all_failed():
+            break
+        position_sweep(state, dataset, rule, mu)
+        state.log_error(true_object, mask)
+    return state
+
+
+def warm_start(dataset: Dataset, warmup_iterations: int,
                init_object: Optional[np.ndarray] = None,
                true_object: Optional[np.ndarray] = None,
                mask: Optional[np.ndarray] = None,
                seed: int = 0) -> ReconstructionState:
+    """The warmup every scheme shares: the start state, then
+    `warmup_iterations` sweeps of Error Reduction (amplitude cost,
+    mu = 1), logging the masked error when a ground truth is given."""
+    state = _start_state(dataset, init_object, seed)
+    state.log_error(true_object, mask)
+    return _sweeps(state, dataset, WARMUP_RULE, 1.0, warmup_iterations,
+                   true_object, mask)
+
+
+def run_scheme(spec: SchemeSpec, dataset: Dataset,
+               init_object: Optional[np.ndarray] = None,
+               true_object: Optional[np.ndarray] = None,
+               mask: Optional[np.ndarray] = None,
+               seed: int = 0,
+               start: Optional[ReconstructionState] = None
+               ) -> ReconstructionState:
     """Run one benchmark scheme: warmup sweeps of Error Reduction
     (amplitude cost, mu = 1), then refinement sweeps with the scheme's rule.
 
     Logs the masked reconstruction error once per sweep when a ground
-    truth is given.
+    truth is given. With `start`, a warmed state from `warm_start`, the
+    scheme refines a fork of it and leaves it unchanged; `init_object`,
+    `seed` and `spec.warmup_iterations` are then already spent.
     """
-    state = _start_state(dataset, init_object, seed)
-    state.log_error(true_object, mask)
-    for _ in range(spec.warmup_iterations):
-        position_sweep(state, dataset, WARMUP_RULE, 1.0)
-        state.log_error(true_object, mask)
-    for _ in range(spec.refinement_iterations):
-        position_sweep(state, dataset, spec.refinement_rule, spec.mu)
-        state.log_error(true_object, mask)
-    return state
+    state = (start.fork() if start is not None else
+             warm_start(dataset, spec.warmup_iterations, init_object,
+                        true_object, mask, seed))
+    return _sweeps(state, dataset, spec.refinement_rule, spec.mu,
+                   spec.refinement_iterations, true_object, mask)
 
 
 # ---------------------------------------------------------------------------

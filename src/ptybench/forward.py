@@ -43,7 +43,10 @@ class Dataset:
     """A stack of measured diffraction intensities plus its geometry.
 
     patterns has shape (n_positions, s*wh, s*ww) with s the oversampling
-    factor; probe is the window-sized complex illumination.
+    factor; a batch of datasets that share the geometry and probe, such as
+    several noise realizations, has shape (n_positions, R, s*wh, s*ww), so
+    patterns[j] is the stack of the R patterns at position j. probe is the
+    window-sized complex illumination.
     """
 
     mode: Mode
@@ -131,13 +134,14 @@ def raster_positions(object_dims: tuple, window: tuple, step: int,
 
 
 def exit_wave(obj: np.ndarray, probe: np.ndarray, position: tuple) -> np.ndarray:
-    """Window-sized product O(x) * P(x - X) at the given position."""
+    """Window-sized product O(x) * P(x - X) at the given position; an
+    object stack (..., H, W) gives the stack of its exit waves."""
     r, c = position
     wh, ww = probe.shape
-    oh, ow = obj.shape
+    oh, ow = obj.shape[-2:]
     if r < 0 or c < 0 or r + wh > oh or c + ww > ow:
         raise ValueError(f"probe window at ({r}, {c}) out of bounds")
-    return obj[r:r + wh, c:c + ww] * probe
+    return obj[..., r:r + wh, c:c + ww] * probe
 
 
 def far_field(exit_field: np.ndarray, oversampling: int) -> np.ndarray:

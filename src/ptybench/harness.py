@@ -6,15 +6,22 @@ noise realization draws an independent noisy stack (substream keyed by
 master seed and realization index) and reconstructs it with every
 requested scheme from the same constant initial guess. Everything is
 deterministic given the master seed.
+
+All realizations are reconstructed together as one stack: the
+error-reduction warmup, which every scheme shares, runs once, and each
+scheme refines a copy of the warmed stack. The adapter has no shared
+warmup and runs one realization at a time.
 """
 
 import hashlib
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy
 from scipy import stats
 
 from . import engine, forward, metrics, noise
@@ -181,6 +188,99 @@ def realization_seed(master_seed: int, realization: int) -> int:
         [int(master_seed), int(realization)]).generate_state(1)[0])
 
 
+# a numeric failure fails only its cells; a programming error raises
+_NUMERIC_FAILURES = (ArithmeticError, ValueError, np.linalg.LinAlgError)
+
+
+def _ok_cell(curve):
+    curve = [(int(i), float(e)) for i, e in curve]
+    return {"ok": True, "curve": curve, "final_error": curve[-1][1]}
+
+
+def _failed_cell(exc):
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+            "curve": [], "final_error": float("nan")}
+
+
+def _noisy_stack(clean, model, seeds):
+    """The (P, R, h, w) noisy patterns of R realizations, drawn one
+    realization at a time into one preallocated array."""
+    patterns = np.empty((len(clean), len(seeds)) + clean.shape[1:])
+    for r, rseed in enumerate(seeds):
+        patterns[:, r] = noise.apply_noise(clean, model, rseed)
+    return patterns
+
+
+def _stack_cells(state, count):
+    """The cells of one scheme's run on a stack of `count` realizations."""
+    return [_failed_cell(state.failures[r]) if r in state.failures
+            else _ok_cell((i, e[r]) for i, e in state.error_log)
+            for r in range(count)]
+
+
+def _run_stack(cfg, dataset, truth, mask, cells):
+    """Every scheme on the stack of all realizations, from one shared
+    warmup; fills cells[(scheme, realization)] and returns the timings."""
+    count = cfg.realizations
+    t0 = time.perf_counter()
+    # reconstruction seed is realization-independent: identical data must
+    # give identical trajectories
+    warm = engine.warm_start(dataset, cfg.warmup_iterations,
+                             true_object=truth, mask=mask,
+                             seed=cfg.master_seed)
+    timing = {"realizations": count, "warmup_s": time.perf_counter() - t0,
+              "scheme_s": {}}
+    for sid in cfg.scheme_ids:
+        spec = engine.scheme(sid, cfg.warmup_iterations,
+                             cfg.refinement_iterations)
+        t0 = time.perf_counter()
+        try:
+            # no name holds the refined state, so it is freed before the
+            # next scheme forks the warm one
+            results = _stack_cells(
+                engine.run_scheme(spec, dataset, true_object=truth,
+                                  mask=mask, seed=cfg.master_seed,
+                                  start=warm), count)
+        except _NUMERIC_FAILURES as exc:
+            results = [_failed_cell(exc) for _ in range(count)]
+        cells.update(((sid, r), cell) for r, cell in enumerate(results))
+        timing["scheme_s"][str(sid)] = time.perf_counter() - t0
+    return timing
+
+
+def _run_adapter(cfg, dataset, truth, mask, r, cells):
+    """Every scheme's adapter run on realization r alone; fills
+    cells[(scheme, r)] and returns the timings."""
+    timing = {"realizations": 1, "scheme_s": {}}
+    for sid in cfg.scheme_ids:
+        adapter_cfg = engine.AdapterConfig(
+            mu_c=cfg.adapter_mu_c, inner_sweeps=cfg.adapter_inner_sweeps,
+            outer_rounds=cfg.adapter_outer_rounds,
+            inner_rule=engine.SCHEMES[sid].refinement_rule,
+            inner_mu=engine.SCHEMES[sid].mu)
+        t0 = time.perf_counter()
+        try:
+            # drop the adapted targets at once: held through the next
+            # scheme's run they raise the peak memory by a pattern stack
+            state = engine.adapt_constraints(
+                dataset, adapter_cfg, true_object=truth, mask=mask,
+                seed=cfg.master_seed)[0]
+            cells[(sid, r)] = _ok_cell(state.error_log)
+        except _NUMERIC_FAILURES as exc:
+            cells[(sid, r)] = _failed_cell(exc)
+        timing["scheme_s"][str(sid)] = time.perf_counter() - t0
+    return timing
+
+
+def environment(cfg: ExperimentConfig) -> dict:
+    """What a run ran on: package and interpreter versions and the config
+    hash."""
+    from . import __version__
+    return {"ptybench": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "config_hash": cfg.hash()}
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     cfg.validate()
     mode = Mode(cfg.mode)
@@ -192,41 +292,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     config_echo = json.loads(json.dumps(asdict(cfg), default=list))
     record = ExperimentRecord(config=config_echo, config_hash=cfg.hash())
     record.meta["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    for r in range(cfg.realizations):
-        rseed = realization_seed(cfg.master_seed, r)
-        noisy = noise.apply_noise(clean, model, rseed)
-        dataset = Dataset(mode, geometry, cfg.oversampling, noisy, probe)
+    record.meta["environment"] = environment(cfg)
+    seeds = [realization_seed(cfg.master_seed, r)
+             for r in range(cfg.realizations)]
+    cells, timings = {}, []
+    if cfg.adapter:
+        # one realization at a time, each drawing its noise when it runs:
+        # batching 160x160 transforms gains nothing, and drawing every
+        # realization up front raises the peak memory
+        for r, rseed in enumerate(seeds):
+            dataset = Dataset(mode, geometry, cfg.oversampling,
+                              noise.apply_noise(clean, model, rseed), probe)
+            timings.append(_run_adapter(cfg, dataset, truth, mask, r, cells))
+    else:
+        dataset = Dataset(mode, geometry, cfg.oversampling,
+                          _noisy_stack(clean, model, seeds), probe)
+        del clean  # the noisy stack is all the run needs from here on
+        timings.append(_run_stack(cfg, dataset, truth, mask, cells))
+    record.meta["timings"] = timings
+    # insert in (realization, scheme) order, the order the cells are
+    # summed in by callers that iterate the record
+    for r, rseed in enumerate(seeds):
         for sid in cfg.scheme_ids:
-            cell = {"ok": True, "seed": rseed}
-            # a numeric failure fails only this cell; a programming error
-            # raises
-            try:
-                if cfg.adapter:
-                    adapter_cfg = engine.AdapterConfig(
-                        mu_c=cfg.adapter_mu_c,
-                        inner_sweeps=cfg.adapter_inner_sweeps,
-                        outer_rounds=cfg.adapter_outer_rounds,
-                        inner_rule=engine.SCHEMES[sid].refinement_rule,
-                        inner_mu=engine.SCHEMES[sid].mu)
-                    # reconstruction seed is realization-independent:
-                    # identical data must give identical trajectories
-                    state, _ = engine.adapt_constraints(
-                        dataset, adapter_cfg, true_object=truth, mask=mask,
-                        seed=cfg.master_seed)
-                else:
-                    spec = engine.scheme(sid, cfg.warmup_iterations,
-                                         cfg.refinement_iterations)
-                    state = engine.run_scheme(spec, dataset,
-                                              true_object=truth, mask=mask,
-                                              seed=cfg.master_seed)
-                curve = [(int(i), float(e)) for i, e in state.error_log]
-                cell["curve"] = curve
-                cell["final_error"] = curve[-1][1]
-            except (ArithmeticError, ValueError,
-                    np.linalg.LinAlgError) as exc:
-                cell.update(ok=False, error=f"{type(exc).__name__}: {exc}",
-                            curve=[], final_error=float("nan"))
-            record.cells[(sid, r)] = cell
+            record.cells[(sid, r)] = {"seed": rseed, **cells[(sid, r)]}
     for sid in cfg.scheme_ids:
         errors = record.final_errors(sid)
         if errors:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ptybench.engine
 from ptybench.cli import main
 
 
@@ -73,3 +74,31 @@ def test_bad_config_key_fails(tmp_path, capsys):
     assert main(["bench", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown config key" in err
+
+
+def test_bench_reports_failed_cells(tmp_path, config_file, capsys,
+                                    monkeypatch):
+    original = ptybench.engine.run_scheme
+
+    def flaky(spec, *args, **kwargs):
+        if spec.id == 2:
+            raise ArithmeticError("synthetic divergence")
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr("ptybench.harness.engine.run_scheme", flaky)
+    out_dir = str(tmp_path / "results")
+    assert main(["bench", config_file, "--output-dir", out_dir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("failed cell")] == [
+        "failed cell: scheme 2 realization 0 ArithmeticError",
+        "failed cell: scheme 2 realization 1 ArithmeticError",
+        "failed cells: 2 of 4"]
+
+    def broken(spec, *args, **kwargs):
+        raise ArithmeticError("synthetic divergence")
+
+    monkeypatch.setattr("ptybench.harness.engine.run_scheme", broken)
+    assert main(["bench", config_file, "--output-dir", out_dir]) == 1
+    captured = capsys.readouterr()
+    assert "failed cells: 4 of 4" in captured.out
+    assert captured.err.startswith("error:")

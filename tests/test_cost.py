@@ -132,6 +132,22 @@ def test_loglik_residual_small_at_data():
     assert np.abs(R).max() < 1e-10
 
 
+def test_loglik_eps_is_per_pattern_in_a_stack():
+    # patterns of very different brightness get their own eps, so a stack
+    # gives each pattern's residual and the sum of the pattern costs
+    rng = np.random.default_rng(4)
+    y = np.stack([rng.poisson(0.01, (8, 8)), rng.poisson(1e4, (8, 8))])
+    y = y.astype(float)
+    G = random_field((2, 8, 8), 5) * 1e-3
+    z = np.abs(G) ** 2
+    fn = PoissonLogLikelihood()
+    stack = gradient_residual(fn, G, y)
+    for k in range(2):
+        assert np.array_equal(stack[k], gradient_residual(fn, G[k], y[k]))
+    assert cost_eval(fn, z, y) == pytest.approx(
+        sum(cost_eval(fn, z[k], y[k]) for k in range(2)), rel=1e-12)
+
+
 def test_amplitude_gradient_equals_modulus_substitution():
     # dL/dg* for the amplitude cost must equal g - g' with g' the
     # modulus-substituted field, computed through an independent pipeline

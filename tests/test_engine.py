@@ -8,6 +8,8 @@ from ptybench import (AdapterConfig, Dataset, FourierMix, GradientDescent,
                       er_support_iterate, exit_wave, functional_by_name,
                       global_gradient_step, idft2, modulus_substitute,
                       position_sweep, run_scheme, scheme, simulate_dataset)
+from ptybench.harness import (ExperimentConfig, build_problem,
+                              realization_seed)
 
 
 def random_field(shape, seed):
@@ -271,6 +273,73 @@ def test_run_scheme_stops_at_first_non_finite_error():
     with pytest.raises(ArithmeticError, match="diverged at sweep 0"):
         run_scheme(scheme(1, 2, 2), dataset, init_object=diverged,
                    true_object=truth)
+
+
+# --- shared warmup and realization batching --------------------------------------
+
+def _two_realizations():
+    """The default 64x64 problem at master seed 4 with two Poisson
+    realizations, as the harness builds it: scheme 3 diverges at sweep 22
+    in realization 0 and at sweep 23 in realization 1."""
+    cfg = ExperimentConfig(master_seed=4, realizations=2)
+    _, truth, probe, geometry, mask, clean = build_problem(cfg)
+    patterns = [pb.apply_noise(clean, pb.NoiseModel.POISSON,
+                               realization_seed(cfg.master_seed, r))
+                for r in range(cfg.realizations)]
+    singles = [Dataset(Mode.REAL_SPACE, geometry, 1, p, probe)
+               for p in patterns]
+    batched = Dataset(Mode.REAL_SPACE, geometry, 1,
+                      np.stack(patterns, axis=1), probe)
+    return truth, mask, singles, batched
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_run_from_shared_warmup_matches_single_runs():
+    truth, mask, singles, batched = _two_realizations()
+    warm = pb.warm_start(batched, 20, true_object=truth, mask=mask, seed=4)
+    stacks = {}
+    for sid in (1, 3, 9, 15):
+        spec = scheme(sid, 20, 5)
+        stack = stacks[sid] = run_scheme(spec, batched, true_object=truth,
+                                         mask=mask, seed=4, start=warm)
+        for r, dataset in enumerate(singles):
+            log = [(i, e[r]) for i, e in stack.error_log]
+            try:
+                single = run_scheme(spec, dataset, true_object=truth,
+                                    mask=mask, seed=4)
+            except ArithmeticError as exc:
+                assert str(stack.failures[r]) == str(exc)
+                # the slice ran on, bit-identically, until it failed
+                sweep = int(str(exc).split("sweep ")[1].split()[0])
+                assert np.isnan(log[sweep][1])
+                continue
+            assert r not in stack.failures
+            assert log == single.error_log
+            assert np.array_equal(stack.object_estimate[r],
+                                  single.object_estimate)
+    assert {r: str(e) for r, e in stacks[3].failures.items()} == {
+        0: "reconstruction diverged at sweep 22 (error nan)",
+        1: "reconstruction diverged at sweep 23 (error nan)"}
+    # sweeping stopped once both slices had failed
+    assert stacks[3].iteration == 23
+
+
+def test_refining_a_fork_leaves_the_warm_state_untouched():
+    truth, dataset = toy_problem(seed=14)
+    warm = pb.warm_start(dataset, 3, true_object=truth, seed=2)
+    before = (warm.object_estimate.copy(), list(warm.error_log),
+              warm.iteration, warm.rng.bit_generator.state)
+    refined = run_scheme(scheme(9, 3, 4), dataset, true_object=truth,
+                         start=warm)
+    assert refined.iteration == 7
+    assert np.array_equal(warm.object_estimate, before[0])
+    assert warm.error_log == before[1]
+    assert warm.iteration == before[2]
+    assert warm.rng.bit_generator.state == before[3]
+    # the fork carries the warmup: the same as one run from scratch
+    whole = run_scheme(scheme(9, 3, 4), dataset, true_object=truth, seed=2)
+    assert refined.error_log == whole.error_log
+    assert np.array_equal(refined.object_estimate, whole.object_estimate)
 
 
 # --- intensity-constraint adapter -------------------------------------------------

@@ -97,3 +97,13 @@ def test_unitarity_random_shapes(shape):
     x = random_field(shape, hash(shape) % 1000)
     assert np.linalg.norm(dft2(x)) == pytest.approx(np.linalg.norm(x),
                                                     rel=1e-10)
+
+
+def test_stack_equals_per_slice_results():
+    stack = random_field((3, 8, 8), 7)
+    cases = [(dft2, ()), (idft2, ()), (zero_pad_center, (1,)),
+             (zero_pad_center, (5,)), (crop_center, (5, 6))]
+    for fn, args in cases:
+        out = fn(stack, *args)
+        for k in range(len(stack)):
+            assert np.array_equal(out[k], fn(stack[k], *args))

@@ -269,3 +269,17 @@ def test_rerun_reproduces_files_byte_identically(tmp_path):
         outputs.append({name: (d / name).read_bytes()
                         for name in ("summary.csv", "curves.csv")})
     assert outputs[0] == outputs[1]
+
+
+def test_record_meta_says_what_ran_and_where_time_went(tmp_path):
+    record = run_experiment(small_config(realizations=2))
+    environment = record.meta["environment"]
+    assert environment["config_hash"] == record.config_hash
+    assert set(environment) == {"ptybench", "python", "numpy", "scipy",
+                                "config_hash"}
+    (stack,) = record.meta["timings"]
+    assert stack["realizations"] == 2
+    assert stack["warmup_s"] >= 0
+    assert sorted(stack["scheme_s"]) == ["1", "2"]
+    paths = export(record, str(tmp_path))
+    assert load_record(paths["record.json"]).meta == record.meta
