@@ -130,7 +130,9 @@ FUNCTIONAL_NAMES = list(TRANSFORMS) + ["poisson_loglik"]
 
 def cost_eval(functional, z: np.ndarray, y: np.ndarray) -> float:
     """Evaluate a cost functional on estimated (z) and measured (y)
-    intensities; both may be single grids or stacks."""
+    intensities; both may be single grids or stacks. A data-derived
+    Poisson eps is taken per 2D pattern, so each scan position of a
+    (P, h, w) stack gets its own."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if z.shape != y.shape:

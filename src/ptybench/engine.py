@@ -115,15 +115,21 @@ class ObjectMix:
         return ("object_mix", self.transform.name)
 
 
+# a numeric failure fails only its own reconstruction; a programming error
+# raises
+NUMERIC_FAILURES = (ArithmeticError, ValueError, np.linalg.LinAlgError)
+
+
 @dataclass
 class ReconstructionState:
     """One object estimate (H, W) or a stack of them (R, H, W), with the
     sweep count, the error log and the stream that orders the sweeps.
 
     For a stack, each error_log entry holds an (R,) array of errors, and
-    `failures` maps the index of each slice whose error turned non-finite
-    to its ArithmeticError; that slice is no longer scored, and the others
-    go on unchanged.
+    `failures` maps the index of each slice that could not be scored (its
+    error turned non-finite, or scoring raised one of NUMERIC_FAILURES) to
+    that exception; that slice is no longer scored, and the others go on
+    unchanged.
     """
     object_estimate: np.ndarray
     iteration: int = 0
@@ -148,7 +154,8 @@ class ReconstructionState:
     def log_error(self, true_object, mask):
         """Append (iteration, masked error) when a ground truth is given.
         A non-finite error raises ArithmeticError on a 2D estimate, so a
-        diverging run stops at the first sweep that shows it; in a stack it
+        diverging run stops at the first sweep that shows it, and an error
+        that cannot be computed raises its own exception; in a stack either
         marks only its slice failed, and that slice's error reads NaN from
         then on."""
         if true_object is None:
@@ -159,7 +166,11 @@ class ReconstructionState:
         for k, estimate in enumerate(slices):
             if k in self.failures:
                 continue
-            err = errors[k] = align_and_error(estimate, true_object, mask)
+            try:
+                err = errors[k] = align_and_error(estimate, true_object, mask)
+            except NUMERIC_FAILURES as exc:
+                self.failures[k] = exc
+                continue
             if not np.isfinite(err):
                 self.failures[k] = ArithmeticError(
                     f"reconstruction diverged at sweep {self.iteration} "

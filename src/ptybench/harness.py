@@ -7,10 +7,11 @@ master seed and realization index) and reconstructs it with every
 requested scheme from the same constant initial guess. Everything is
 deterministic given the master seed.
 
-All realizations are reconstructed together as one stack: the
-error-reduction warmup, which every scheme shares, runs once, and each
-scheme refines a copy of the warmed stack. The adapter has no shared
-warmup and runs one realization at a time.
+The error-reduction warmup, which every scheme shares, runs once per
+realization stack, and each scheme refines a copy of the warmed stack. At
+oversampling 1 all realizations form one stack; at oversampling 5 each
+realization is a stack of its own. The adapter has no shared warmup and
+runs one realization at a time.
 """
 
 import hashlib
@@ -188,10 +189,6 @@ def realization_seed(master_seed: int, realization: int) -> int:
         [int(master_seed), int(realization)]).generate_state(1)[0])
 
 
-# a numeric failure fails only its cells; a programming error raises
-_NUMERIC_FAILURES = (ArithmeticError, ValueError, np.linalg.LinAlgError)
-
-
 def _ok_cell(curve):
     curve = [(int(i), float(e)) for i, e in curve]
     return {"ok": True, "curve": curve, "final_error": curve[-1][1]}
@@ -211,25 +208,36 @@ def _noisy_stack(clean, model, seeds):
     return patterns
 
 
-def _stack_cells(state, count):
-    """The cells of one scheme's run on a stack of `count` realizations."""
-    return [_failed_cell(state.failures[r]) if r in state.failures
-            else _ok_cell((i, e[r]) for i, e in state.error_log)
-            for r in range(count)]
+def _stack_cells(state, group):
+    """The cells of one scheme's run on the stack of realizations `group`,
+    keyed by realization."""
+    return {r: _failed_cell(state.failures[k]) if k in state.failures
+            else _ok_cell((i, e[k]) for i, e in state.error_log)
+            for k, r in enumerate(group)}
 
 
-def _run_stack(cfg, dataset, truth, mask, cells):
-    """Every scheme on the stack of all realizations, from one shared
-    warmup; fills cells[(scheme, realization)] and returns the timings."""
-    count = cfg.realizations
+def _run_stack(cfg, dataset, truth, mask, group, cells):
+    """Every scheme on the stack of realizations `group`, from one shared
+    warmup; fills cells[(scheme, realization)] and returns the timings.
+
+    A realization whose error cannot be scored fails only its own cells.
+    Any other numeric failure fails every cell of the stack it reaches:
+    in the warmup every scheme's, in a scheme's sweeps that scheme's.
+    """
+    timing = {"realizations": len(group), "scheme_s": {}}
     t0 = time.perf_counter()
-    # reconstruction seed is realization-independent: identical data must
-    # give identical trajectories
-    warm = engine.warm_start(dataset, cfg.warmup_iterations,
-                             true_object=truth, mask=mask,
-                             seed=cfg.master_seed)
-    timing = {"realizations": count, "warmup_s": time.perf_counter() - t0,
-              "scheme_s": {}}
+    try:
+        # reconstruction seed is realization-independent: identical data
+        # must give identical trajectories
+        warm = engine.warm_start(dataset, cfg.warmup_iterations,
+                                 true_object=truth, mask=mask,
+                                 seed=cfg.master_seed)
+    except engine.NUMERIC_FAILURES as exc:
+        cells.update(((sid, r), _failed_cell(exc))
+                     for sid in cfg.scheme_ids for r in group)
+        return timing
+    finally:
+        timing["warmup_s"] = time.perf_counter() - t0
     for sid in cfg.scheme_ids:
         spec = engine.scheme(sid, cfg.warmup_iterations,
                              cfg.refinement_iterations)
@@ -240,10 +248,10 @@ def _run_stack(cfg, dataset, truth, mask, cells):
             results = _stack_cells(
                 engine.run_scheme(spec, dataset, true_object=truth,
                                   mask=mask, seed=cfg.master_seed,
-                                  start=warm), count)
-        except _NUMERIC_FAILURES as exc:
-            results = [_failed_cell(exc) for _ in range(count)]
-        cells.update(((sid, r), cell) for r, cell in enumerate(results))
+                                  start=warm), group)
+        except engine.NUMERIC_FAILURES as exc:
+            results = {r: _failed_cell(exc) for r in group}
+        cells.update(((sid, r), cell) for r, cell in results.items())
         timing["scheme_s"][str(sid)] = time.perf_counter() - t0
     return timing
 
@@ -266,7 +274,7 @@ def _run_adapter(cfg, dataset, truth, mask, r, cells):
                 dataset, adapter_cfg, true_object=truth, mask=mask,
                 seed=cfg.master_seed)[0]
             cells[(sid, r)] = _ok_cell(state.error_log)
-        except _NUMERIC_FAILURES as exc:
+        except engine.NUMERIC_FAILURES as exc:
             cells[(sid, r)] = _failed_cell(exc)
         timing["scheme_s"][str(sid)] = time.perf_counter() - t0
     return timing
@@ -305,10 +313,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
                               noise.apply_noise(clean, model, rseed), probe)
             timings.append(_run_adapter(cfg, dataset, truth, mask, r, cells))
     else:
-        dataset = Dataset(mode, geometry, cfg.oversampling,
-                          _noisy_stack(clean, model, seeds), probe)
-        del clean  # the noisy stack is all the run needs from here on
-        timings.append(_run_stack(cfg, dataset, truth, mask, cells))
+        # all realizations as one stack at oversampling 1; at oversampling
+        # 5 batching 160x160 transforms gains nothing, and one stack would
+        # hold every realization's patterns at once, so each realization
+        # is a one-slice stack drawing its noise when it runs
+        groups = ([range(cfg.realizations)] if cfg.oversampling == 1
+                  else [[r] for r in range(cfg.realizations)])
+        for group in groups:
+            patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
+            dataset = Dataset(mode, geometry, cfg.oversampling, patterns,
+                              probe)
+            timings.append(_run_stack(cfg, dataset, truth, mask, group,
+                                      cells))
+            # free this stack's patterns before the next one is drawn
+            del patterns, dataset
     record.meta["timings"] = timings
     # insert in (realization, scheme) order, the order the cells are
     # summed in by callers that iterate the record

@@ -146,6 +146,8 @@ def test_loglik_eps_is_per_pattern_in_a_stack():
         assert np.array_equal(stack[k], gradient_residual(fn, G[k], y[k]))
     assert cost_eval(fn, z, y) == pytest.approx(
         sum(cost_eval(fn, z[k], y[k]) for k in range(2)), rel=1e-12)
+    # a (P, h, w) stack of scan positions likewise gets one eps per position
+    assert fn.eps_for(y).shape == (2, 1, 1)
 
 
 def test_amplitude_gradient_equals_modulus_substitution():

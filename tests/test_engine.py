@@ -324,6 +324,22 @@ def test_batched_run_from_shared_warmup_matches_single_runs():
     assert stacks[3].iteration == 23
 
 
+def test_unscorable_slice_fails_alone():
+    # a slice that is zero on the mask cannot be aligned: it fails with
+    # the ValueError a 2D run raises, and the other slice is still scored
+    truth = random_field((8, 8), 15)
+    with pytest.raises(ValueError, match="zero on the mask") as raised:
+        pb.ReconstructionState(np.zeros((8, 8), complex)).log_error(truth,
+                                                                    None)
+    state = pb.ReconstructionState(np.stack([np.zeros((8, 8), complex),
+                                             truth]))
+    state.log_error(truth, None)
+    assert list(state.failures) == [0]
+    assert str(state.failures[0]) == str(raised.value)
+    ((_, errors),) = state.error_log
+    assert np.isnan(errors[0]) and errors[1] == 0.0
+
+
 def test_refining_a_fork_leaves_the_warm_state_untouched():
     truth, dataset = toy_problem(seed=14)
     warm = pb.warm_start(dataset, 3, true_object=truth, seed=2)

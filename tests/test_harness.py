@@ -6,7 +6,9 @@ import pytest
 import ptybench.engine
 from ptybench import (ExperimentConfig, ExperimentRecord, compare_schemes,
                       export, load_record, parse_config)
-from ptybench.harness import run_experiment
+from ptybench.forward import Dataset, Mode
+from ptybench.harness import build_problem, realization_seed, run_experiment
+from ptybench.noise import NoiseModel, apply_noise
 
 
 SMALL_CONFIG = dict(
@@ -124,6 +126,36 @@ def test_failure_isolation(monkeypatch):
         assert record.cells[(2, r)]["ok"] is False
         assert "synthetic divergence" in record.cells[(2, r)]["error"]
         assert record.cells[(1, r)]["ok"] is True  # siblings unaffected
+
+
+def test_warmup_failure_fails_every_cell(monkeypatch):
+    def failing(*args, **kwargs):
+        raise ArithmeticError("synthetic warmup divergence")
+
+    monkeypatch.setattr("ptybench.harness.engine.warm_start", failing)
+    record = run_experiment(small_config(realizations=2))
+    for cell in record.cells.values():
+        assert cell["ok"] is False
+        assert "synthetic warmup divergence" in cell["error"]
+    assert all(record.summaries[sid].get("failed") for sid in (1, 2))
+
+
+def test_oversampled_grid_runs_one_realization_at_a_time():
+    cfg = small_config(oversampling=5, realizations=2, scheme_ids=(1,),
+                       warmup_iterations=2, refinement_iterations=2)
+    record = run_experiment(cfg)
+    assert [t["realizations"] for t in record.meta["timings"]] == [1, 1]
+    # each one-slice stack gives the realization's own 2D run
+    _, truth, probe, geometry, mask, clean = build_problem(cfg)
+    for r in range(2):
+        patterns = apply_noise(clean, NoiseModel.POISSON,
+                               realization_seed(cfg.master_seed, r))
+        single = ptybench.engine.run_scheme(
+            ptybench.engine.scheme(1, 2, 2),
+            Dataset(Mode.REAL_SPACE, geometry, 5, patterns, probe),
+            true_object=truth, mask=mask, seed=cfg.master_seed)
+        assert record.cells[(1, r)]["curve"] == [
+            (i, float(e)) for i, e in single.error_log]
 
 
 def test_programming_error_propagates(monkeypatch):
