@@ -277,10 +277,15 @@ def scheme(scheme_id: int, warmup_iterations: int = 100,
     overriding the iteration counts."""
     if scheme_id not in SCHEMES:
         raise ValueError(f"unknown scheme id {scheme_id}; valid ids are 1..20")
+    if warmup_iterations < 0 or refinement_iterations < 0:
+        raise ValueError(f"sweep counts must be >= 0, got "
+                         f"{warmup_iterations}, {refinement_iterations}")
     return replace(SCHEMES[scheme_id], warmup_iterations=warmup_iterations,
                    refinement_iterations=refinement_iterations)
 
 
+# log_error records a diverging run's inf and NaN as its failure
+@np.errstate(over="ignore", invalid="ignore")
 def _sweeps(state, dataset, rule, mu, count, true_object, mask):
     """`count` sweeps, each followed by its error; stops early once every
     slice of a stack has failed."""
@@ -292,6 +297,7 @@ def _sweeps(state, dataset, rule, mu, count, true_object, mask):
     return state
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def warm_start(dataset: Dataset, warmup_iterations: int,
                init_object: Optional[np.ndarray] = None,
                true_object: Optional[np.ndarray] = None,
@@ -346,6 +352,7 @@ class AdapterConfig:
             raise ValueError("inner_sweeps and outer_rounds must be >= 1")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adapt_constraints(dataset: Dataset, config: AdapterConfig,
                       init_object: Optional[np.ndarray] = None,
                       true_object: Optional[np.ndarray] = None,
@@ -356,16 +363,16 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
     `inner_sweeps` position sweeps against m~, then mixes
     m~ <- (1 - mu_c) m~ + mu_c z0 with z0 the currently predicted stack.
 
-    Returns (final state, final m~ stack).
+    On an object stack the rounds stop once every slice has failed, as
+    the sweeps of `run_scheme` do. Returns (final state, final m~ stack).
     """
     state = _start_state(dataset, init_object, seed)
     m_tilde = dataset.patterns.astype(float, copy=True)
     for _ in range(config.outer_rounds):
-        constrained = replace(dataset, patterns=m_tilde)
-        for _ in range(config.inner_sweeps):
-            position_sweep(state, constrained, config.inner_rule,
-                           config.inner_mu)
-            state.log_error(true_object, mask)
+        _sweeps(state, replace(dataset, patterns=m_tilde), config.inner_rule,
+                config.inner_mu, config.inner_sweeps, true_object, mask)
+        if state.all_failed():
+            break
         if config.mu_c > 0.0:
             # the estimate already lives in the effective (real-space-
             # equivalent) domain, so always re-simulate in real-space terms

@@ -157,7 +157,8 @@ def diffract(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
 def simulate_dataset(obj: np.ndarray, probe: np.ndarray,
                      geometry: ScanGeometry, mode: Mode,
                      oversampling: int = 1) -> np.ndarray:
-    """Noise-free intensity stack, shape (n_positions, s*wh, s*ww).
+    """Noise-free intensity stack, shape (n_positions, s*wh, s*ww); an
+    object stack (R, H, W) gives the batched (n_positions, R, s*wh, s*ww).
 
     Fourier-space mode runs the identical pipeline on dft2(obj); the probe
     then plays the role of the pupil aperture.
@@ -165,7 +166,8 @@ def simulate_dataset(obj: np.ndarray, probe: np.ndarray,
     effective = obj if mode is Mode.REAL_SPACE else dft2(obj)
     wh, ww = geometry.window
     s = oversampling
-    stack = np.empty((len(geometry.positions), s * wh, s * ww))
+    stack = np.empty((len(geometry.positions),) + obj.shape[:-2]
+                     + (s * wh, s * ww))
     for j, pos in enumerate(geometry.positions):
         stack[j] = diffract(exit_wave(effective, probe, pos), s)
     return stack

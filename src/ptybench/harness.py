@@ -7,11 +7,12 @@ master seed and realization index) and reconstructs it with every
 requested scheme from the same constant initial guess. Everything is
 deterministic given the master seed.
 
-The error-reduction warmup, which every scheme shares, runs once per
-realization stack, and each scheme refines a copy of the warmed stack. At
-oversampling 1 all realizations form one stack; at oversampling 5 each
-realization is a stack of its own. The adapter has no shared warmup and
-runs one realization at a time.
+Every grid runs on realization stacks: at oversampling 1 all
+realizations form one stack; at oversampling 5 each realization is a stack
+of its own. The error-reduction warmup, which every scheme shares, runs
+once per stack, and each scheme refines a copy of the warmed stack. The
+adapter runs on the same stacks with no warmup, each scheme from the
+constant start.
 """
 
 import hashlib
@@ -63,6 +64,8 @@ class ExperimentConfig:
                              f"got {self.oversampling}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        if not self.scheme_ids:
+            raise ValueError("scheme_ids must name at least one scheme")
         for sid in self.scheme_ids:
             if sid not in engine.SCHEMES:
                 raise ValueError(f"unknown scheme id {sid}")
@@ -78,11 +81,17 @@ class ExperimentConfig:
         if self.adapter_inner_sweeps < 1 or self.adapter_outer_rounds < 1:
             raise ValueError("adapter_inner_sweeps and adapter_outer_rounds "
                              "must be >= 1")
+        for name in ("window", "object_dims"):
+            dims = getattr(self, name)
+            if len(dims) != 2 or min(dims) < 1:
+                raise ValueError(f"{name} must be two positive ints, "
+                                 f"got {dims}")
         if any(w > o for w, o in zip(self.window, self.object_dims)):
             raise ValueError(f"window {self.window} is larger than the "
                              f"object {self.object_dims}")
-        if self.photon_budget <= 0:
-            raise ValueError("photon budget must be positive")
+        if not 0.0 < self.photon_budget < np.inf:
+            raise ValueError(f"photon budget must be positive and finite, "
+                             f"got {self.photon_budget}")
         return self
 
     def hash(self) -> str:
@@ -216,9 +225,30 @@ def _stack_cells(state, group):
             for k, r in enumerate(group)}
 
 
+def _reconstruct(cfg, sid, dataset, truth, mask, warm):
+    """Scheme `sid` on `dataset`: refined from the shared warmup `warm`,
+    or adapted from the constant start when the grid runs the adapter."""
+    if cfg.adapter:
+        adapter_cfg = engine.AdapterConfig(
+            mu_c=cfg.adapter_mu_c, inner_sweeps=cfg.adapter_inner_sweeps,
+            outer_rounds=cfg.adapter_outer_rounds,
+            inner_rule=engine.SCHEMES[sid].refinement_rule,
+            inner_mu=engine.SCHEMES[sid].mu)
+        # drop the adapted targets at once: held through the next
+        # scheme's run they raise the peak memory by a pattern stack
+        return engine.adapt_constraints(dataset, adapter_cfg,
+                                        true_object=truth, mask=mask,
+                                        seed=cfg.master_seed)[0]
+    spec = engine.scheme(sid, cfg.warmup_iterations,
+                         cfg.refinement_iterations)
+    return engine.run_scheme(spec, dataset, true_object=truth, mask=mask,
+                             seed=cfg.master_seed, start=warm)
+
+
 def _run_stack(cfg, dataset, truth, mask, group, cells):
     """Every scheme on the stack of realizations `group`, from one shared
-    warmup; fills cells[(scheme, realization)] and returns the timings.
+    warmup (none for the adapter); fills cells[(scheme, realization)] and
+    returns the timings.
 
     A realization whose error cannot be scored fails only its own cells.
     Any other numeric failure fails every cell of the stack it reaches:
@@ -229,9 +259,9 @@ def _run_stack(cfg, dataset, truth, mask, group, cells):
     try:
         # reconstruction seed is realization-independent: identical data
         # must give identical trajectories
-        warm = engine.warm_start(dataset, cfg.warmup_iterations,
-                                 true_object=truth, mask=mask,
-                                 seed=cfg.master_seed)
+        warm = None if cfg.adapter else engine.warm_start(
+            dataset, cfg.warmup_iterations, true_object=truth, mask=mask,
+            seed=cfg.master_seed)
     except engine.NUMERIC_FAILURES as exc:
         cells.update(((sid, r), _failed_cell(exc))
                      for sid in cfg.scheme_ids for r in group)
@@ -239,43 +269,15 @@ def _run_stack(cfg, dataset, truth, mask, group, cells):
     finally:
         timing["warmup_s"] = time.perf_counter() - t0
     for sid in cfg.scheme_ids:
-        spec = engine.scheme(sid, cfg.warmup_iterations,
-                             cfg.refinement_iterations)
         t0 = time.perf_counter()
         try:
-            # no name holds the refined state, so it is freed before the
-            # next scheme forks the warm one
+            # no name holds the reconstructed state, so it is freed before
+            # the next scheme runs
             results = _stack_cells(
-                engine.run_scheme(spec, dataset, true_object=truth,
-                                  mask=mask, seed=cfg.master_seed,
-                                  start=warm), group)
+                _reconstruct(cfg, sid, dataset, truth, mask, warm), group)
         except engine.NUMERIC_FAILURES as exc:
             results = {r: _failed_cell(exc) for r in group}
         cells.update(((sid, r), cell) for r, cell in results.items())
-        timing["scheme_s"][str(sid)] = time.perf_counter() - t0
-    return timing
-
-
-def _run_adapter(cfg, dataset, truth, mask, r, cells):
-    """Every scheme's adapter run on realization r alone; fills
-    cells[(scheme, r)] and returns the timings."""
-    timing = {"realizations": 1, "scheme_s": {}}
-    for sid in cfg.scheme_ids:
-        adapter_cfg = engine.AdapterConfig(
-            mu_c=cfg.adapter_mu_c, inner_sweeps=cfg.adapter_inner_sweeps,
-            outer_rounds=cfg.adapter_outer_rounds,
-            inner_rule=engine.SCHEMES[sid].refinement_rule,
-            inner_mu=engine.SCHEMES[sid].mu)
-        t0 = time.perf_counter()
-        try:
-            # drop the adapted targets at once: held through the next
-            # scheme's run they raise the peak memory by a pattern stack
-            state = engine.adapt_constraints(
-                dataset, adapter_cfg, true_object=truth, mask=mask,
-                seed=cfg.master_seed)[0]
-            cells[(sid, r)] = _ok_cell(state.error_log)
-        except engine.NUMERIC_FAILURES as exc:
-            cells[(sid, r)] = _failed_cell(exc)
         timing["scheme_s"][str(sid)] = time.perf_counter() - t0
     return timing
 
@@ -304,29 +306,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     seeds = [realization_seed(cfg.master_seed, r)
              for r in range(cfg.realizations)]
     cells, timings = {}, []
-    if cfg.adapter:
-        # one realization at a time, each drawing its noise when it runs:
-        # batching 160x160 transforms gains nothing, and drawing every
-        # realization up front raises the peak memory
-        for r, rseed in enumerate(seeds):
-            dataset = Dataset(mode, geometry, cfg.oversampling,
-                              noise.apply_noise(clean, model, rseed), probe)
-            timings.append(_run_adapter(cfg, dataset, truth, mask, r, cells))
-    else:
-        # all realizations as one stack at oversampling 1; at oversampling
-        # 5 batching 160x160 transforms gains nothing, and one stack would
-        # hold every realization's patterns at once, so each realization
-        # is a one-slice stack drawing its noise when it runs
-        groups = ([range(cfg.realizations)] if cfg.oversampling == 1
-                  else [[r] for r in range(cfg.realizations)])
-        for group in groups:
-            patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
-            dataset = Dataset(mode, geometry, cfg.oversampling, patterns,
-                              probe)
-            timings.append(_run_stack(cfg, dataset, truth, mask, group,
-                                      cells))
-            # free this stack's patterns before the next one is drawn
-            del patterns, dataset
+    # all realizations as one stack at oversampling 1; at oversampling 5
+    # batching 160x160 transforms gains nothing, and one stack would hold
+    # every realization's patterns at once
+    groups = ([range(cfg.realizations)] if cfg.oversampling == 1
+              else [[r] for r in range(cfg.realizations)])
+    for group in groups:
+        patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
+        dataset = Dataset(mode, geometry, cfg.oversampling, patterns, probe)
+        timings.append(_run_stack(cfg, dataset, truth, mask, group, cells))
+        # free this stack's patterns before the next one is drawn
+        del patterns, dataset
     record.meta["timings"] = timings
     # insert in (realization, scheme) order, the order the cells are
     # summed in by callers that iterate the record

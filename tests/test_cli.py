@@ -50,6 +50,17 @@ def test_reconstruct_runs_on_dataset(tmp_path, config_file, capsys):
         assert result["object_estimate"].shape == (32, 32)
 
 
+def test_reconstruct_rejects_negative_sweep_counts(tmp_path, config_file,
+                                                  capsys):
+    data = tmp_path / "data.npz"
+    main(["simulate", config_file, str(data)])
+    assert main(["reconstruct", str(data), "--scheme", "1",
+                 "--warmup", "-5", "--refinement", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "sweeps" not in captured.out
+    assert captured.err.startswith("error: ValueError: sweep counts")
+
+
 def test_bench_and_compare(tmp_path, config_file, capsys):
     out_dir = tmp_path / "results"
     assert main(["bench", config_file, "--output-dir", str(out_dir)]) == 0

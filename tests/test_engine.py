@@ -293,7 +293,6 @@ def _two_realizations():
     return truth, mask, singles, batched
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_run_from_shared_warmup_matches_single_runs():
     truth, mask, singles, batched = _two_realizations()
     warm = pb.warm_start(batched, 20, true_object=truth, mask=mask, seed=4)
@@ -392,6 +391,31 @@ def test_adapter_targets_stay_nonnegative():
     cfg = AdapterConfig(mu_c=0.3, inner_sweeps=2, outer_rounds=6)
     _, m_tilde = adapt_constraints(dataset, cfg, seed=1)
     assert np.all(m_tilde >= 0)
+
+
+def test_adapter_stops_once_every_slice_has_failed():
+    truth, dataset = toy_problem(seed=16)
+    diverged = np.full(dataset.geometry.object_dims, np.nan, dtype=complex)
+    cfg = AdapterConfig(mu_c=0.1, inner_sweeps=3, outer_rounds=4)
+    with pytest.raises(ArithmeticError, match="diverged at sweep 1"):
+        adapt_constraints(dataset, cfg, init_object=diverged,
+                          true_object=truth)
+    batched = Dataset(dataset.mode, dataset.geometry, dataset.oversampling,
+                      np.stack([dataset.patterns] * 2, axis=1),
+                      dataset.probe)
+    state, _ = adapt_constraints(batched, cfg, init_object=diverged,
+                                 true_object=truth)
+    assert {k: str(e) for k, e in state.failures.items()} == {
+        k: "reconstruction diverged at sweep 1 (error nan)" for k in (0, 1)}
+    # no further sweep or round ran on the failed stack
+    assert state.iteration == 1
+
+
+def test_negative_sweep_counts_raise():
+    with pytest.raises(ValueError, match="sweep counts must be >= 0"):
+        scheme(1, -5, 3)
+    with pytest.raises(ValueError, match="sweep counts must be >= 0"):
+        scheme(1, 5, -3)
 
 
 def test_adapter_config_validation():

@@ -152,6 +152,20 @@ def test_stack_length_matches_positions():
     assert len(stack) == len(geom.positions)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("oversampling", [1, 5])
+def test_object_stack_gives_batched_patterns(mode, oversampling):
+    objs = [random_object((32, 32), 6), random_object((32, 32), 7)]
+    probe = make_probe("tophat", 6, (16, 16))
+    geom = raster_positions((32, 32), (16, 16), step=8, jitter=1, seed=3)
+    stack = simulate_dataset(np.stack(objs), probe, geom, mode, oversampling)
+    assert stack.shape == (len(geom.positions), 2, 16 * oversampling,
+                           16 * oversampling)
+    for k, obj in enumerate(objs):
+        assert np.array_equal(stack[:, k], simulate_dataset(
+            obj, probe, geom, mode, oversampling))
+
+
 def test_constant_object_gives_identical_patterns():
     obj = np.full((32, 32), 0.8 + 0.1j)
     probe = make_probe("gaussian", 4, (16, 16))

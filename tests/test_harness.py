@@ -70,9 +70,16 @@ def test_config_validation():
     (dict(adapter_outer_rounds=0), "adapter_outer_rounds"),
     (dict(window=(16, 40)), "larger than the object"),
     (dict(adapter_mu_c=1.5), "adapter_mu_c"),
+    (dict(scheme_ids=()), "at least one scheme"),
+    (dict(photon_budget=float("nan")), "photon budget"),
+    (dict(photon_budget=float("inf")), "photon budget"),
+    (dict(window=(16, 16, 4)), "window must be two positive ints"),
+    (dict(object_dims=(32, 0)), "object_dims must be two positive ints"),
 ], ids=["duplicate_schemes", "negative_warmup", "negative_refinement",
         "negative_jitter", "inner_sweeps_zero", "outer_rounds_zero",
-        "window_too_large", "adapter_mu_c_above_one"])
+        "window_too_large", "adapter_mu_c_above_one", "no_schemes",
+        "nan_photon_budget", "infinite_photon_budget", "window_three_dims",
+        "object_dims_zero"])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_config(**overrides).validate()
@@ -156,6 +163,30 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
             true_object=truth, mask=mask, seed=cfg.master_seed)
         assert record.cells[(1, r)]["curve"] == [
             (i, float(e)) for i, e in single.error_log]
+
+
+def test_adapter_grid_runs_all_realizations_as_one_stack():
+    cfg = small_config(adapter=True, realizations=2, scheme_ids=(1, 9),
+                       adapter_inner_sweeps=2, adapter_outer_rounds=3)
+    record = run_experiment(cfg)
+    (stack,) = record.meta["timings"]
+    assert stack["realizations"] == 2
+    # each slice of the stack gives the realization's own 2D adapter run
+    _, truth, probe, geometry, mask, clean = build_problem(cfg)
+    for r in range(2):
+        patterns = apply_noise(clean, NoiseModel.POISSON,
+                               realization_seed(cfg.master_seed, r))
+        dataset = Dataset(Mode.REAL_SPACE, geometry, 1, patterns, probe)
+        for sid in cfg.scheme_ids:
+            adapter_cfg = ptybench.engine.AdapterConfig(
+                mu_c=cfg.adapter_mu_c, inner_sweeps=2, outer_rounds=3,
+                inner_rule=ptybench.engine.SCHEMES[sid].refinement_rule,
+                inner_mu=ptybench.engine.SCHEMES[sid].mu)
+            single = ptybench.engine.adapt_constraints(
+                dataset, adapter_cfg, true_object=truth, mask=mask,
+                seed=cfg.master_seed)[0]
+            assert record.cells[(sid, r)]["curve"] == [
+                (i, float(e)) for i, e in single.error_log]
 
 
 def test_programming_error_propagates(monkeypatch):
