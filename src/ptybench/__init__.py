@@ -2,8 +2,8 @@
 
 from .grids import dft2, idft2, zero_pad_center, crop_center
 from .forward import (Mode, ScanGeometry, Dataset, make_probe,
-                      raster_positions, exit_wave, far_field, diffract,
-                      simulate_dataset, synthesize_object)
+                      raster_positions, exit_wave, far_field, back_project,
+                      diffract, simulate_dataset, synthesize_object)
 from .noise import (NoiseModel, scale_to_budget, sample_poisson,
                     sample_speckle, apply_noise, poisson_log_pmf)
 from .cost import (Transform, TRANSFORMS, PoissonLogLikelihood,

@@ -7,8 +7,8 @@ Subcommands:
   compare      paired scheme comparison from a stored record.json
 
 Exits 0 on success; on failure prints a single machine-readable
-``error: <message>`` line to stderr and exits 1. ``bench`` prints one
-``failed cell: scheme S realization R <ErrorType>`` line per
+``error: <ErrorType>: <message>`` line to stderr and exits 1. ``bench``
+prints one ``failed cell: scheme S realization R <ErrorType>`` line per
 (scheme, realization) cell that failed numerically and a
 ``failed cells: F of N`` total; it exits 0 when at least one cell ran ok
 and 1 when every cell failed.

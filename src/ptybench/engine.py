@@ -17,8 +17,9 @@ import numpy as np
 
 from .cost import (Transform, TRANSFORMS, functional_by_name,
                    gradient_residual)
-from .forward import Dataset, Mode, exit_wave, far_field, simulate_dataset
-from .grids import crop_center, dft2, idft2
+from .forward import (Dataset, Mode, back_project, exit_wave, far_field,
+                      simulate_dataset)
+from .grids import dft2, idft2
 from .metrics import align_and_error
 
 
@@ -60,8 +61,8 @@ class GradientDescent:
 
     def step(self, G, pattern, probe, mu):
         """The descent step mu * conj(P) * dL/dg* for one position."""
-        d = crop_center(idft2(gradient_residual(self.functional, G, pattern)),
-                        *probe.shape)
+        d = back_project(gradient_residual(self.functional, G, pattern),
+                         probe.shape)
         return mu * np.conj(probe) * d
 
     def update(self, window, g, G, pattern, probe, mu):
@@ -84,7 +85,7 @@ class FourierMix:
         z = np.abs(G) ** 2
         mixed = t.inv((1.0 - mu) * t.fwd(z) + mu * t.fwd(pattern))
         G_new = np.sqrt(np.maximum(mixed, 0.0)) * _unit_phase(G)
-        g_new = crop_center(idft2(G_new), *probe.shape)
+        g_new = back_project(G_new, probe.shape)
         window += np.conj(probe) * (g_new - g)
 
     def describe(self):
@@ -102,8 +103,8 @@ class ObjectMix:
         if mu == 0.0:
             return
         t = self.transform
-        g_prime = crop_center(idft2(modulus_substitute(G, np.sqrt(pattern))),
-                              *probe.shape)
+        g_prime = back_project(modulus_substitute(G, np.sqrt(pattern)),
+                               probe.shape)
         window_prime = window + np.conj(probe) * (g_prime - g)
         mod = t.inv((1.0 - mu) * t.fwd(np.abs(window))
                     + mu * t.fwd(np.abs(window_prime)))
@@ -115,9 +116,9 @@ class ObjectMix:
         return ("object_mix", self.transform.name)
 
 
-# a numeric failure fails only its own reconstruction; a programming error
-# raises
-NUMERIC_FAILURES = (ArithmeticError, ValueError, np.linalg.LinAlgError)
+# a numeric failure fails only its own reconstruction; any other error is
+# a bug and raises
+NUMERIC_FAILURES = (ArithmeticError,)
 
 
 @dataclass
@@ -139,8 +140,8 @@ class ReconstructionState:
     failures: dict = field(default_factory=dict)
 
     @classmethod
-    def constant_init(cls, object_dims, value=1.0 + 0.0j, seed=0):
-        return cls(object_estimate=np.full(object_dims, value, dtype=complex),
+    def constant_init(cls, object_dims, seed=0):
+        return cls(object_estimate=np.ones(object_dims, dtype=complex),
                    rng=np.random.default_rng(seed))
 
     def fork(self) -> "ReconstructionState":
@@ -155,7 +156,7 @@ class ReconstructionState:
         """Append (iteration, masked error) when a ground truth is given.
         A non-finite error raises ArithmeticError on a 2D estimate, so a
         diverging run stops at the first sweep that shows it, and an error
-        that cannot be computed raises its own exception; in a stack either
+        that cannot be computed raises AlignmentUndefined; in a stack either
         marks only its slice failed, and that slice's error reads NaN from
         then on."""
         if true_object is None:

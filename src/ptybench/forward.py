@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import dft2, zero_pad_center
+from .grids import crop_center, dft2, idft2, zero_pad_center
 
 
 class Mode(Enum):
@@ -69,9 +69,10 @@ def make_probe(kind: str, radius: float, window: tuple) -> np.ndarray:
     kind "gaussian": exp(-r^2 / (2 radius^2)), truncated at the window edge.
     """
     wh, ww = window
-    if radius > min(wh, ww) / 2:
+    if not 0 <= radius <= min(wh, ww) / 2:
         raise ValueError(
-            f"probe radius {radius} exceeds half the window {window}"
+            f"probe radius must lie in [0, {min(wh, ww) / 2}], half the "
+            f"window {window}, got {radius}"
         )
     rows = np.arange(wh) - (wh - 1) / 2
     cols = np.arange(ww) - (ww - 1) / 2
@@ -105,12 +106,12 @@ def raster_positions(object_dims: tuple, window: tuple, step: int,
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    if jitter >= step / 2 and jitter > 0:
-        raise ValueError("jitter must be < step/2")
+    if not 0 <= jitter < step / 2:
+        raise ValueError(f"jitter must lie in [0, step/2), got {jitter}")
     oh, ow = object_dims
     wh, ww = window
     if wh > oh or ww > ow:
-        raise ValueError("window larger than object; no valid position")
+        raise ValueError("window larger than the object; no valid position")
     rng = np.random.default_rng(seed)
     rows = list(range(0, oh - wh + 1, step))
     cols = list(range(0, ow - ww + 1, step))
@@ -147,6 +148,11 @@ def exit_wave(obj: np.ndarray, probe: np.ndarray, position: tuple) -> np.ndarray
 def far_field(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
     """Far field F{exit wave zero-padded by the oversampling factor}."""
     return dft2(zero_pad_center(exit_field, oversampling))
+
+
+def back_project(F: np.ndarray, window: tuple) -> np.ndarray:
+    """The window-sized exit wave of a far field: `far_field` inverted."""
+    return crop_center(idft2(F), *window)
 
 
 def diffract(exit_field: np.ndarray, oversampling: int) -> np.ndarray:

@@ -57,6 +57,7 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self):
+        """Check the rules nothing else owns, then build with each owner."""
         Mode(self.mode)
         NoiseModel(self.noise_model)
         if self.oversampling not in (1, 5):
@@ -66,32 +67,21 @@ class ExperimentConfig:
             raise ValueError("realizations must be >= 1")
         if not self.scheme_ids:
             raise ValueError("scheme_ids must name at least one scheme")
-        for sid in self.scheme_ids:
-            if sid not in engine.SCHEMES:
-                raise ValueError(f"unknown scheme id {sid}")
         if len(set(self.scheme_ids)) != len(self.scheme_ids):
             raise ValueError(f"duplicate scheme ids in {self.scheme_ids}")
-        for name in ("warmup_iterations", "refinement_iterations",
-                     "scan_jitter"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.adapter_mu_c <= 1.0:
-            raise ValueError(f"adapter_mu_c must lie in [0, 1], "
-                             f"got {self.adapter_mu_c}")
-        if self.adapter_inner_sweeps < 1 or self.adapter_outer_rounds < 1:
-            raise ValueError("adapter_inner_sweeps and adapter_outer_rounds "
-                             "must be >= 1")
         for name in ("window", "object_dims"):
             dims = getattr(self, name)
             if len(dims) != 2 or min(dims) < 1:
                 raise ValueError(f"{name} must be two positive ints, "
                                  f"got {dims}")
-        if any(w > o for w, o in zip(self.window, self.object_dims)):
-            raise ValueError(f"window {self.window} is larger than the "
-                             f"object {self.object_dims}")
         if not 0.0 < self.photon_budget < np.inf:
             raise ValueError(f"photon budget must be positive and finite, "
                              f"got {self.photon_budget}")
+        for keys, build in _OWNERS:
+            try:
+                build(*(getattr(self, key) for key in keys))
+            except ValueError as exc:
+                raise ValueError(f"{', '.join(keys)}: {exc}") from None
         return self
 
     def hash(self) -> str:
@@ -101,6 +91,21 @@ class ExperimentConfig:
                    if k != "output_dir"}
         text = json.dumps(payload, sort_keys=True, default=list)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# the config keys each constructor reads, in its argument order: the
+# constructor owns their rules
+_OWNERS = (
+    (("object_dims", "window", "scan_step", "scan_jitter"),
+     forward.raster_positions),
+    (("probe_kind", "probe_radius", "window"), forward.make_probe),
+    (("object_kind", "object_dims", "master_seed"),
+     lambda kind, dims, s: forward.synthesize_object(kind, dims, seed=s)),
+    (("scheme_ids", "warmup_iterations", "refinement_iterations"),
+     lambda ids, *counts: [engine.scheme(sid, *counts) for sid in ids]),
+    (("adapter_mu_c", "adapter_inner_sweeps", "adapter_outer_rounds"),
+     engine.AdapterConfig),
+)
 
 
 def _parse_bool(value: str) -> bool:

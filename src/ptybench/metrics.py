@@ -7,6 +7,10 @@ import numpy as np
 from .forward import ScanGeometry
 
 
+class AlignmentUndefined(ValueError, ArithmeticError):
+    """Zero estimate on the mask: an arithmetic failure, not a bad input."""
+
+
 def illumination_mask(probe: np.ndarray, geometry: ScanGeometry,
                       threshold: float = 0.1) -> np.ndarray:
     """Boolean mask of pixels where the accumulated probe intensity
@@ -41,6 +45,7 @@ def align_and_error(estimate: np.ndarray, truth: np.ndarray,
         t = truth[mask]
     denom = np.vdot(e, e)
     if denom == 0:
-        raise ValueError("estimate is zero on the mask; alignment undefined")
+        raise AlignmentUndefined("estimate is zero on the mask; alignment "
+                                 "undefined")
     c = np.vdot(e, t) / denom
     return float(np.linalg.norm(c * e - t) / np.linalg.norm(t))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ptybench import (Mode, ScanGeometry, dft2, diffract, exit_wave,
-                      make_probe, raster_positions, simulate_dataset,
-                      synthesize_object)
+from ptybench import (Mode, ScanGeometry, back_project, crop_center, dft2,
+                      diffract, exit_wave, far_field, idft2, make_probe,
+                      raster_positions, simulate_dataset, synthesize_object)
 
 
 def random_object(shape, seed):
@@ -44,6 +44,13 @@ def test_probe_radius_too_large_raises():
         make_probe("tophat", 10, (16, 16))
 
 
+@pytest.mark.parametrize("kind", ["tophat", "gaussian"])
+@pytest.mark.parametrize("radius", [-4.0, float("nan")])
+def test_probe_radius_negative_or_nan_raises(kind, radius):
+    with pytest.raises(ValueError, match="probe radius"):
+        make_probe(kind, radius, (16, 16))
+
+
 # --- scan geometry ---------------------------------------------------------
 
 def test_raster_count_no_jitter():
@@ -71,6 +78,17 @@ def test_raster_windows_in_bounds_many_configs():
         for (r, c) in geom.positions:
             assert 0 <= r <= oh - wh
             assert 0 <= c <= ow - ww
+
+
+@pytest.mark.parametrize("step, jitter", [(0, 0), (8, -1), (8, 4)])
+def test_raster_rejects_bad_step_or_jitter(step, jitter):
+    with pytest.raises(ValueError, match="step"):
+        raster_positions((64, 64), (32, 32), step, jitter)
+
+
+def test_raster_rejects_window_larger_than_object():
+    with pytest.raises(ValueError, match="larger than the object"):
+        raster_positions((32, 32), (16, 40), 8)
 
 
 def test_geometry_rejects_out_of_bounds_window():
@@ -130,6 +148,22 @@ def test_diffract_single_pixel_constant():
     exit_field[3, 3] = a
     out = diffract(exit_field, 2)
     assert np.allclose(out, abs(a) ** 2 / 256, atol=1e-12)
+
+
+@pytest.mark.parametrize("oversampling", [1, 5])
+@pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)], ids=["grid", "stack"])
+def test_back_project_is_the_cropped_inverse(shape, oversampling):
+    F = random_object(shape[:-2] + (8 * oversampling, 8 * oversampling), 8)
+    assert np.array_equal(back_project(F, (5, 8)),
+                          crop_center(idft2(F), 5, 8))
+
+
+@pytest.mark.parametrize("oversampling", [1, 5])
+@pytest.mark.parametrize("shape", [(8, 6), (3, 8, 6)], ids=["grid", "stack"])
+def test_back_project_inverts_far_field(shape, oversampling):
+    g = random_object(shape, 9)
+    back = back_project(far_field(g, oversampling), g.shape[-2:])
+    assert np.allclose(back, g, rtol=0, atol=1e-12)
 
 
 # --- dataset simulation ------------------------------------------------------

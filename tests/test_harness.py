@@ -75,11 +75,21 @@ def test_config_validation():
     (dict(photon_budget=float("inf")), "photon budget"),
     (dict(window=(16, 16, 4)), "window must be two positive ints"),
     (dict(object_dims=(32, 0)), "object_dims must be two positive ints"),
+    (dict(probe_radius=20.0), "probe_radius"),
+    (dict(probe_radius=-10.0), "probe_radius"),
+    (dict(probe_radius=float("nan")), "probe_radius"),
+    (dict(scan_step=0), "scan_step"),
+    (dict(scan_step=8, scan_jitter=4), "scan_jitter"),
+    (dict(object_kind="portrait"), "object_kind"),
+    (dict(probe_kind="airy"), "probe_kind"),
+    (dict(master_seed=-1), "master_seed"),
 ], ids=["duplicate_schemes", "negative_warmup", "negative_refinement",
         "negative_jitter", "inner_sweeps_zero", "outer_rounds_zero",
         "window_too_large", "adapter_mu_c_above_one", "no_schemes",
         "nan_photon_budget", "infinite_photon_budget", "window_three_dims",
-        "object_dims_zero"])
+        "object_dims_zero", "probe_radius_too_large", "probe_radius_negative",
+        "probe_radius_nan", "scan_step_zero", "jitter_half_step",
+        "unknown_object_kind", "unknown_probe_kind", "negative_master_seed"])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_config(**overrides).validate()
@@ -199,6 +209,18 @@ def test_programming_error_propagates(monkeypatch):
 
     monkeypatch.setattr("ptybench.harness.engine.run_scheme", broken)
     with pytest.raises(TypeError, match="synthetic bug"):
+        run_experiment(small_config(realizations=1))
+
+
+@pytest.mark.parametrize("target", ["run_scheme", "warm_start"])
+def test_value_error_in_a_run_propagates(monkeypatch, target):
+    # only arithmetic failures become failed cells: a ValueError in the
+    # sweeps or the shared warmup is a bug and ends the run
+    def broken(*args, **kwargs):
+        raise ValueError("synthetic shape mismatch")
+
+    monkeypatch.setattr(f"ptybench.harness.engine.{target}", broken)
+    with pytest.raises(ValueError, match="synthetic shape mismatch"):
         run_experiment(small_config(realizations=1))
 
 
