@@ -59,9 +59,15 @@ def _read_config(path):
         return harness.parse_config(f.read())
 
 
+def _check_non_negative(flag, value):
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_simulate(args):
+    _check_non_negative("--realization", args.realization)
     cfg = _read_config(args.config)
-    _, truth, probe, geometry, _, clean = harness.build_problem(cfg)
+    truth, probe, geometry, _, clean, _ = harness.build_problem(cfg)
     model = NoiseModel(cfg.noise_model)
     seed = harness.realization_seed(cfg.master_seed, args.realization)
     patterns = noise.apply_noise(clean, model, seed)
@@ -74,6 +80,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_reconstruct(args):
+    _check_non_negative("--seed", args.seed)
     dataset, truth = _load_dataset(args.dataset)
     mask = metrics.illumination_mask(dataset.probe, dataset.geometry)
     spec = engine.scheme(args.scheme, args.warmup, args.refinement)

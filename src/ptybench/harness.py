@@ -57,7 +57,8 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self):
-        """Check the rules nothing else owns, then build with each owner."""
+        """Check the rules nothing else owns, then build with each owner.
+        Returns [geometry, probe, object, scheme specs, adapter settings]."""
         Mode(self.mode)
         NoiseModel(self.noise_model)
         if self.oversampling not in (1, 5):
@@ -77,12 +78,13 @@ class ExperimentConfig:
         if not 0.0 < self.photon_budget < np.inf:
             raise ValueError(f"photon budget must be positive and finite, "
                              f"got {self.photon_budget}")
+        pieces = []
         for keys, build in _OWNERS:
             try:
-                build(*(getattr(self, key) for key in keys))
+                pieces.append(build(*(getattr(self, key) for key in keys)))
             except ValueError as exc:
                 raise ValueError(f"{', '.join(keys)}: {exc}") from None
-        return self
+        return pieces
 
     def hash(self) -> str:
         # output_dir is excluded: the hash identifies the experiment's
@@ -96,7 +98,7 @@ class ExperimentConfig:
 # the config keys each constructor reads, in its argument order: the
 # constructor owns their rules
 _OWNERS = (
-    (("object_dims", "window", "scan_step", "scan_jitter"),
+    (("object_dims", "window", "scan_step", "scan_jitter", "master_seed"),
      forward.raster_positions),
     (("probe_kind", "probe_radius", "window"), forward.make_probe),
     (("object_kind", "object_dims", "master_seed"),
@@ -127,9 +129,11 @@ _PARSERS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat key = value config document; unknown keys are errors."""
+    """Parse a flat key = value config document; unknown and repeated keys
+    are errors."""
     cfg = ExperimentConfig()
     defaults = asdict(cfg)
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,12 +144,16 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in defaults:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"line {lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             parsed = _PARSERS[type(defaults[key])](value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
         setattr(cfg, key, parsed)
-    return cfg.validate()
+    cfg.validate()
+    return cfg
 
 
 @dataclass
@@ -174,27 +182,22 @@ def _summary_stats(errors):
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Deterministic object / probe / geometry / noise-free stack for a
-    config. Returns (obj, effective truth, probe, geometry, mask, stack)."""
-    mode = Mode(cfg.mode)
-    obj = forward.synthesize_object(cfg.object_kind, cfg.object_dims,
-                                    seed=cfg.master_seed)
-    if mode is Mode.FOURIER_SPACE:
+    """Validate a config and build its inputs. Returns (effective truth,
+    probe, geometry, mask, noise-free stack, scheme specs)."""
+    geometry, probe, truth, specs, _ = cfg.validate()
+    if Mode(cfg.mode) is Mode.FOURIER_SPACE:
         # modulate by (-1)^(x+y) so the object's spectrum is centered in
         # the scanned array: the pupil then scans around the zero
         # frequency, as in a physical Fourier-ptychography setup
         h, w = cfg.object_dims
-        obj = obj * (-1.0) ** np.add.outer(np.arange(h), np.arange(w))
-    probe = forward.make_probe(cfg.probe_kind, cfg.probe_radius, cfg.window)
-    geometry = forward.raster_positions(cfg.object_dims, cfg.window,
-                                        cfg.scan_step, cfg.scan_jitter,
-                                        seed=cfg.master_seed)
-    clean = forward.simulate_dataset(obj, probe, geometry, mode,
+        truth = dft2(truth * (-1.0) ** np.add.outer(np.arange(h),
+                                                    np.arange(w)))
+    # truth is the effective object in both modes: simulate it as real space
+    clean = forward.simulate_dataset(truth, probe, geometry, Mode.REAL_SPACE,
                                      cfg.oversampling)
     clean = noise.scale_to_budget(clean, cfg.photon_budget)
-    truth = obj if mode is Mode.REAL_SPACE else dft2(obj)
     mask = metrics.illumination_mask(probe, geometry)
-    return obj, truth, probe, geometry, mask, clean
+    return truth, probe, geometry, mask, clean, specs
 
 
 def realization_seed(master_seed: int, realization: int) -> int:
@@ -230,27 +233,24 @@ def _stack_cells(state, group):
             for k, r in enumerate(group)}
 
 
-def _reconstruct(cfg, sid, dataset, truth, mask, warm):
-    """Scheme `sid` on `dataset`: refined from the shared warmup `warm`,
+def _reconstruct(cfg, spec, dataset, truth, mask, warm):
+    """Scheme `spec` on `dataset`: refined from the shared warmup `warm`,
     or adapted from the constant start when the grid runs the adapter."""
     if cfg.adapter:
         adapter_cfg = engine.AdapterConfig(
             mu_c=cfg.adapter_mu_c, inner_sweeps=cfg.adapter_inner_sweeps,
             outer_rounds=cfg.adapter_outer_rounds,
-            inner_rule=engine.SCHEMES[sid].refinement_rule,
-            inner_mu=engine.SCHEMES[sid].mu)
+            inner_rule=spec.refinement_rule, inner_mu=spec.mu)
         # drop the adapted targets at once: held through the next
         # scheme's run they raise the peak memory by a pattern stack
         return engine.adapt_constraints(dataset, adapter_cfg,
                                         true_object=truth, mask=mask,
                                         seed=cfg.master_seed)[0]
-    spec = engine.scheme(sid, cfg.warmup_iterations,
-                         cfg.refinement_iterations)
     return engine.run_scheme(spec, dataset, true_object=truth, mask=mask,
                              seed=cfg.master_seed, start=warm)
 
 
-def _run_stack(cfg, dataset, truth, mask, group, cells):
+def _run_stack(cfg, specs, dataset, truth, mask, group, cells):
     """Every scheme on the stack of realizations `group`, from one shared
     warmup (none for the adapter); fills cells[(scheme, realization)] and
     returns the timings.
@@ -273,17 +273,17 @@ def _run_stack(cfg, dataset, truth, mask, group, cells):
         return timing
     finally:
         timing["warmup_s"] = time.perf_counter() - t0
-    for sid in cfg.scheme_ids:
+    for spec in specs:
         t0 = time.perf_counter()
         try:
             # no name holds the reconstructed state, so it is freed before
             # the next scheme runs
             results = _stack_cells(
-                _reconstruct(cfg, sid, dataset, truth, mask, warm), group)
+                _reconstruct(cfg, spec, dataset, truth, mask, warm), group)
         except engine.NUMERIC_FAILURES as exc:
             results = {r: _failed_cell(exc) for r in group}
-        cells.update(((sid, r), cell) for r, cell in results.items())
-        timing["scheme_s"][str(sid)] = time.perf_counter() - t0
+        cells.update(((spec.id, r), cell) for r, cell in results.items())
+        timing["scheme_s"][str(spec.id)] = time.perf_counter() - t0
     return timing
 
 
@@ -297,10 +297,9 @@ def environment(cfg: ExperimentConfig) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
-    cfg.validate()
+    truth, probe, geometry, mask, clean, specs = build_problem(cfg)
     mode = Mode(cfg.mode)
     model = NoiseModel(cfg.noise_model)
-    _, truth, probe, geometry, mask, clean = build_problem(cfg)
 
     # normalize tuples to lists so the in-memory record equals its JSON
     # round trip
@@ -319,7 +318,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     for group in groups:
         patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
         dataset = Dataset(mode, geometry, cfg.oversampling, patterns, probe)
-        timings.append(_run_stack(cfg, dataset, truth, mask, group, cells))
+        timings.append(_run_stack(cfg, specs, dataset, truth, mask, group,
+                                  cells))
         # free this stack's patterns before the next one is drawn
         del patterns, dataset
     record.meta["timings"] = timings

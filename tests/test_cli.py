@@ -61,6 +61,23 @@ def test_reconstruct_rejects_negative_sweep_counts(tmp_path, config_file,
     assert captured.err.startswith("error: ValueError: sweep counts")
 
 
+def test_negative_realization_or_seed_is_rejected(tmp_path, config_file,
+                                                 capsys):
+    data = tmp_path / "data.npz"
+    assert main(["simulate", config_file, str(data),
+                 "--realization", "-1"]) == 1
+    assert not data.exists()
+    assert capsys.readouterr().err == (
+        "error: ValueError: --realization must be >= 0, got -1\n")
+    main(["simulate", config_file, str(data)])
+    capsys.readouterr()
+    assert main(["reconstruct", str(data), "--scheme", "1",
+                 "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "sweeps" not in captured.out
+    assert captured.err == "error: ValueError: --seed must be >= 0, got -1\n"
+
+
 def test_bench_and_compare(tmp_path, config_file, capsys):
     out_dir = tmp_path / "results"
     assert main(["bench", config_file, "--output-dir", str(out_dir)]) == 0

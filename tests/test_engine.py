@@ -282,7 +282,7 @@ def _two_realizations():
     realizations, as the harness builds it: scheme 3 diverges at sweep 22
     in realization 0 and at sweep 23 in realization 1."""
     cfg = ExperimentConfig(master_seed=4, realizations=2)
-    _, truth, probe, geometry, mask, clean = build_problem(cfg)
+    truth, probe, geometry, mask, clean, _ = build_problem(cfg)
     patterns = [pb.apply_noise(clean, pb.NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
                 for r in range(cfg.realizations)]

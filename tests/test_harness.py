@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ptybench.engine
+import ptybench.forward
 from ptybench import (ExperimentConfig, ExperimentRecord, compare_schemes,
                       export, load_record, parse_config)
 from ptybench.forward import Dataset, Mode
@@ -50,6 +51,12 @@ def test_parse_config_unknown_key_errors():
 def test_parse_config_rejects_misspelled_boolean():
     with pytest.raises(ValueError, match="line 1: adapter"):
         parse_config("adapter = ture")
+
+
+def test_parse_config_rejects_repeated_key():
+    with pytest.raises(ValueError,
+                       match="line 3: realizations repeats line 1"):
+        parse_config("realizations = 2\nmaster_seed = 1\nrealizations = 3")
 
 
 def test_config_validation():
@@ -101,6 +108,30 @@ def test_config_hash_stable():
 
 
 # --- experiment runs ------------------------------------------------------------
+
+def test_run_builds_its_pieces_once(monkeypatch):
+    calls = {"objects": 0, "schemes": []}
+    synthesize, scheme = (ptybench.forward.synthesize_object,
+                          ptybench.engine.scheme)
+
+    def counted_synthesize(*args, **kwargs):
+        calls["objects"] += 1
+        return synthesize(*args, **kwargs)
+
+    def counted_scheme(sid, *args, **kwargs):
+        calls["schemes"].append(sid)
+        return scheme(sid, *args, **kwargs)
+
+    monkeypatch.setattr(ptybench.forward, "synthesize_object",
+                        counted_synthesize)
+    monkeypatch.setattr(ptybench.engine, "scheme", counted_scheme)
+    # at oversampling 5 each realization is a stack: a build per stack
+    # would show as a repeated scheme id
+    run_experiment(small_config(realizations=2, oversampling=5,
+                                warmup_iterations=1,
+                                refinement_iterations=1))
+    assert calls == {"objects": 1, "schemes": [1, 2]}
+
 
 def test_noise_free_realizations_identical():
     cfg = small_config(noise_model="noise_free", realizations=3,
@@ -163,7 +194,7 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
     record = run_experiment(cfg)
     assert [t["realizations"] for t in record.meta["timings"]] == [1, 1]
     # each one-slice stack gives the realization's own 2D run
-    _, truth, probe, geometry, mask, clean = build_problem(cfg)
+    truth, probe, geometry, mask, clean, _ = build_problem(cfg)
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
@@ -182,7 +213,7 @@ def test_adapter_grid_runs_all_realizations_as_one_stack():
     (stack,) = record.meta["timings"]
     assert stack["realizations"] == 2
     # each slice of the stack gives the realization's own 2D adapter run
-    _, truth, probe, geometry, mask, clean = build_problem(cfg)
+    truth, probe, geometry, mask, clean, _ = build_problem(cfg)
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
