@@ -22,14 +22,13 @@ import sys
 import numpy as np
 
 from . import engine, forward, harness, metrics, noise
-from .forward import Dataset, Mode
+from .forward import Dataset
 from .noise import NoiseModel
 
 
 def _save_dataset(path, cfg, dataset, truth):
     np.savez_compressed(
         path,
-        mode=dataset.mode.value,
         positions=np.asarray(dataset.geometry.positions),
         window=np.asarray(dataset.geometry.window),
         object_dims=np.asarray(dataset.geometry.object_dims),
@@ -47,8 +46,7 @@ def _load_dataset(path):
             tuple((int(r), int(c)) for r, c in data["positions"]),
             tuple(int(v) for v in data["window"]),
             tuple(int(v) for v in data["object_dims"]))
-        dataset = Dataset(Mode(str(data["mode"])), geometry,
-                          int(data["oversampling"]),
+        dataset = Dataset(geometry, int(data["oversampling"]),
                           data["patterns"], data["probe"])
         truth = data["truth"]
     return dataset, truth
@@ -71,8 +69,7 @@ def _cmd_simulate(args):
     model = NoiseModel(cfg.noise_model)
     seed = harness.realization_seed(cfg.master_seed, args.realization)
     patterns = noise.apply_noise(clean, model, seed)
-    dataset = Dataset(Mode(cfg.mode), geometry, cfg.oversampling,
-                      patterns, probe)
+    dataset = Dataset(geometry, cfg.oversampling, patterns, probe)
     _save_dataset(args.output, dataclasses.asdict(cfg), dataset, truth)
     print(f"wrote {args.output}: {len(patterns)} patterns of "
           f"{patterns.shape[1]}x{patterns.shape[2]}, "

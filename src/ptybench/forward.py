@@ -3,7 +3,9 @@
 Two ptychography modes are supported. In real-space mode the probe scans
 the object directly. Fourier-space mode is implemented through the duality
 with real-space mode: the same pipeline is applied to the Fourier transform
-of the object, with the probe acting as the pupil aperture.
+of the object, with the probe acting as the pupil aperture. The mode is
+settled once, when the problem is built: from then on the effective object
+is scanned as real space, and a `Dataset` carries no mode.
 """
 
 from dataclasses import dataclass
@@ -46,10 +48,10 @@ class Dataset:
     factor; a batch of datasets that share the geometry and probe, such as
     several noise realizations, has shape (n_positions, R, s*wh, s*ww), so
     patterns[j] is the stack of the R patterns at position j. probe is the
-    window-sized complex illumination.
+    window-sized complex illumination. A dataset carries no mode: it holds
+    the patterns of the effective object, scanned as real space.
     """
 
-    mode: Mode
     geometry: ScanGeometry
     oversampling: int
     patterns: np.ndarray

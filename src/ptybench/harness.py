@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy
-from scipy import stats
 
 from . import engine, forward, metrics, noise
 from .forward import Dataset, Mode
@@ -247,7 +246,7 @@ def _reconstruct(cfg, spec, dataset, truth, mask, warm):
                                         true_object=truth, mask=mask,
                                         seed=cfg.master_seed)[0]
     return engine.run_scheme(spec, dataset, true_object=truth, mask=mask,
-                             seed=cfg.master_seed, start=warm)
+                             start=warm)
 
 
 def _run_stack(cfg, specs, dataset, truth, mask, group, cells):
@@ -268,8 +267,8 @@ def _run_stack(cfg, specs, dataset, truth, mask, group, cells):
             dataset, cfg.warmup_iterations, true_object=truth, mask=mask,
             seed=cfg.master_seed)
     except engine.NUMERIC_FAILURES as exc:
-        cells.update(((sid, r), _failed_cell(exc))
-                     for sid in cfg.scheme_ids for r in group)
+        cells.update(((spec.id, r), _failed_cell(exc))
+                     for spec in specs for r in group)
         return timing
     finally:
         timing["warmup_s"] = time.perf_counter() - t0
@@ -298,7 +297,6 @@ def environment(cfg: ExperimentConfig) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     truth, probe, geometry, mask, clean, specs = build_problem(cfg)
-    mode = Mode(cfg.mode)
     model = NoiseModel(cfg.noise_model)
 
     # normalize tuples to lists so the in-memory record equals its JSON
@@ -317,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
               else [[r] for r in range(cfg.realizations)])
     for group in groups:
         patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
-        dataset = Dataset(mode, geometry, cfg.oversampling, patterns, probe)
+        dataset = Dataset(geometry, cfg.oversampling, patterns, probe)
         timings.append(_run_stack(cfg, specs, dataset, truth, mask, group,
                                   cells))
         # free this stack's patterns before the next one is drawn
@@ -361,6 +359,8 @@ def compare_schemes(record: ExperimentRecord, baseline_id: int,
     if trials == 0:
         p = 1.0
     else:
+        # loaded by its one user: it is most of ptybench's import time
+        from scipy import stats
         p = float(stats.binomtest(wins, trials, 0.5).pvalue)
     return {
         "baseline": baseline_id,
@@ -390,17 +390,16 @@ def export(record: ExperimentRecord, out_dir: str) -> dict:
     with open(paths["summary.csv"], "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# config_hash={tag}\n")
         f.write("scheme,rule,functional,mu,median,mean,std,min,max,n\n")
+        columns = ("median", "mean", "std", "min", "max")
         for sid in sorted(record.summaries):
             stats_row = record.summaries[sid]
-            rule, functional = engine.SCHEMES[sid].describe()
-            mu = engine.SCHEMES[sid].mu
             if stats_row.get("failed"):
-                f.write(f"{sid},{rule},{functional},{mu},"
-                        "nan,nan,nan,nan,nan,0\n")
-                continue
-            f.write(",".join([str(sid), rule, functional, _fmt(mu)]
-                             + [_fmt(stats_row[k]) for k in
-                                ("median", "mean", "std", "min", "max")]
+                # no realization ran ok: no statistic, no sample
+                stats_row = dict.fromkeys(columns, float("nan")) | {"n": 0}
+            rule, functional = engine.SCHEMES[sid].describe()
+            f.write(",".join([str(sid), rule, functional,
+                              _fmt(engine.SCHEMES[sid].mu)]
+                             + [_fmt(stats_row[k]) for k in columns]
                              + [str(stats_row["n"])]) + "\n")
 
     with open(paths["curves.csv"], "w", encoding="utf-8", newline="\n") as f:

@@ -91,7 +91,7 @@ def test_criterion_3_noise_free_convergence():
     overlap = (32 - 8) / 32
     assert overlap >= 0.6
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
-    dataset = Dataset(Mode.REAL_SPACE, geom, 1, clean, probe)
+    dataset = Dataset(geom, 1, clean, probe)
     mask = illumination_mask(probe, geom)
     state = run_scheme(scheme(1, 100, 200), dataset, true_object=obj,
                        mask=mask, seed=0)
@@ -135,7 +135,7 @@ def test_criterion_5_endpoint_identities():
     geom = pb.raster_positions((32, 32), (16, 16), step=8, jitter=0)
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
     noisy = sample_poisson(clean * 100, seed=5)
-    dataset = Dataset(Mode.REAL_SPACE, geom, 1, noisy, probe)
+    dataset = Dataset(geom, 1, noisy, probe)
     rng = np.random.default_rng(5)
     init = random_field((32, 32), rng)
 
@@ -197,7 +197,7 @@ def test_criterion_7a_mu_zero_reproduces_baseline():
     t0 = time.time()
     obj, probe, geom, clean, _ = _adapter_problem(7, 5, 1e4)
     noisy = sample_poisson(clean, seed=7)
-    dataset = Dataset(Mode.REAL_SPACE, geom, 5, noisy, probe)
+    dataset = Dataset(geom, 5, noisy, probe)
     cfg = AdapterConfig(mu_c=0.0, inner_sweeps=5, outer_rounds=4)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=7)
     baseline = ReconstructionState.constant_init((64, 64), seed=7)
@@ -211,7 +211,7 @@ def test_criterion_7a_mu_zero_reproduces_baseline():
 def test_criterion_7b_noise_free_perfect_init_keeps_targets():
     t0 = time.time()
     obj, probe, geom, clean, _ = _adapter_problem(7, 5, 1e4)
-    dataset = Dataset(Mode.REAL_SPACE, geom, 5, clean, probe)
+    dataset = Dataset(geom, 5, clean, probe)
     # photon-budget scaling multiplies the patterns by s, so the matching
     # perfect init carries a sqrt(s) amplitude factor
     raw = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 5)
@@ -232,7 +232,7 @@ def test_criterion_7c_adapter_not_worse_when_oversampled():
     with_adapter, without = [], []
     for r in range(20):
         noisy = sample_poisson(clean, seed=700 + r)
-        dataset = Dataset(Mode.REAL_SPACE, geom, 5, noisy, probe)
+        dataset = Dataset(geom, 5, noisy, probe)
         state, _ = adapt_constraints(dataset, cfg, true_object=obj,
                                      mask=mask, seed=r)
         with_adapter.append(state.error_log[-1][1])

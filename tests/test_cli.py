@@ -50,6 +50,33 @@ def test_reconstruct_runs_on_dataset(tmp_path, config_file, capsys):
         assert result["object_estimate"].shape == (32, 32)
 
 
+def test_fourier_dataset_keeps_its_mode_only_in_config(tmp_path, config_file,
+                                                      capsys):
+    config = tmp_path / "fourier.cfg"
+    config.write_text(CONFIG_TEXT + "mode = fourier_space\n")
+    data = tmp_path / "data.npz"
+    assert main(["simulate", str(config), str(data)]) == 0
+    with np.load(data) as stored:
+        assert "mode" not in stored.files
+        assert json.loads(str(stored["config"]))["mode"] == "fourier_space"
+    assert main(["reconstruct", str(data), "--scheme", "1",
+                 "--warmup", "10", "--refinement", "0"]) == 0
+    assert "final masked error" in capsys.readouterr().out
+
+
+def test_reconstruct_reads_a_dataset_with_a_mode_key(tmp_path, config_file,
+                                                    capsys):
+    data = tmp_path / "data.npz"
+    main(["simulate", config_file, str(data)])
+    with np.load(data) as stored:
+        arrays = {**stored, "mode": "real_space"}
+    legacy = tmp_path / "legacy.npz"
+    np.savez_compressed(legacy, **arrays)
+    assert main(["reconstruct", str(legacy), "--scheme", "1",
+                 "--warmup", "10", "--refinement", "0"]) == 0
+    assert "final masked error" in capsys.readouterr().out
+
+
 def test_reconstruct_rejects_negative_sweep_counts(tmp_path, config_file,
                                                   capsys):
     data = tmp_path / "data.npz"

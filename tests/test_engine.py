@@ -27,7 +27,7 @@ def toy_problem(seed=0, mode=Mode.REAL_SPACE, oversampling=1,
                                step=step, jitter=0)
     clean = simulate_dataset(obj, probe, geom, mode, oversampling)
     truth = obj if mode is Mode.REAL_SPACE else dft2(obj)
-    dataset = Dataset(mode, geom, oversampling, clean, probe)
+    dataset = Dataset(geom, oversampling, clean, probe)
     return truth, dataset
 
 
@@ -191,7 +191,7 @@ def test_global_step_single_position_equals_sweep():
     probe = pb.make_probe("gaussian", 4, (16, 16))
     geom = pb.ScanGeometry(((0, 0),), (16, 16), (16, 16))
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
-    dataset = Dataset(Mode.REAL_SPACE, geom, 1, clean * 1.3, probe)
+    dataset = Dataset(geom, 1, clean * 1.3, probe)
     fn = functional_by_name("anscombe")
     init = random_field((16, 16), 12)
     a = ReconstructionState(object_estimate=init.copy(),
@@ -216,7 +216,7 @@ def test_global_step_accumulates_windowed_contributions():
     probe = pb.make_probe("tophat", 5, (16, 16))
     geom = pb.ScanGeometry(((0, 0), (8, 0)), (16, 16), (24, 16))
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
-    dataset = Dataset(Mode.REAL_SPACE, geom, 1, clean * 2.0, probe)
+    dataset = Dataset(geom, 1, clean * 2.0, probe)
     fn = functional_by_name("sqrt")
     init = random_field((24, 16), 13)
 
@@ -286,9 +286,9 @@ def _two_realizations():
     patterns = [pb.apply_noise(clean, pb.NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
                 for r in range(cfg.realizations)]
-    singles = [Dataset(Mode.REAL_SPACE, geometry, 1, p, probe)
+    singles = [Dataset(geometry, 1, p, probe)
                for p in patterns]
-    batched = Dataset(Mode.REAL_SPACE, geometry, 1,
+    batched = Dataset(geometry, 1,
                       np.stack(patterns, axis=1), probe)
     return truth, mask, singles, batched
 
@@ -362,7 +362,7 @@ def test_refining_a_fork_leaves_the_warm_state_untouched():
 def test_adapter_mu_zero_matches_baseline_trajectory():
     truth, dataset = toy_problem(seed=10)
     noisy = pb.sample_poisson(dataset.patterns * 50, seed=5)
-    dataset = Dataset(dataset.mode, dataset.geometry, dataset.oversampling,
+    dataset = Dataset(dataset.geometry, dataset.oversampling,
                       noisy, dataset.probe)
     cfg = AdapterConfig(mu_c=0.0, inner_sweeps=3, outer_rounds=4)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=77)
@@ -386,7 +386,7 @@ def test_adapter_noise_free_perfect_init_keeps_targets():
 def test_adapter_targets_stay_nonnegative():
     truth, dataset = toy_problem(seed=12)
     noisy = pb.sample_speckle(dataset.patterns * 20, seed=6)
-    dataset = Dataset(dataset.mode, dataset.geometry, dataset.oversampling,
+    dataset = Dataset(dataset.geometry, dataset.oversampling,
                       noisy, dataset.probe)
     cfg = AdapterConfig(mu_c=0.3, inner_sweeps=2, outer_rounds=6)
     _, m_tilde = adapt_constraints(dataset, cfg, seed=1)
@@ -400,7 +400,7 @@ def test_adapter_stops_once_every_slice_has_failed():
     with pytest.raises(ArithmeticError, match="diverged at sweep 1"):
         adapt_constraints(dataset, cfg, init_object=diverged,
                           true_object=truth)
-    batched = Dataset(dataset.mode, dataset.geometry, dataset.oversampling,
+    batched = Dataset(dataset.geometry, dataset.oversampling,
                       np.stack([dataset.patterns] * 2, axis=1),
                       dataset.probe)
     state, _ = adapt_constraints(batched, cfg, init_object=diverged,

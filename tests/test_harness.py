@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import ptybench.engine
 import ptybench.forward
 from ptybench import (ExperimentConfig, ExperimentRecord, compare_schemes,
                       export, load_record, parse_config)
-from ptybench.forward import Dataset, Mode
+from ptybench.forward import Dataset
 from ptybench.harness import build_problem, realization_seed, run_experiment
 from ptybench.noise import NoiseModel, apply_noise
 
@@ -200,7 +203,7 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
                                realization_seed(cfg.master_seed, r))
         single = ptybench.engine.run_scheme(
             ptybench.engine.scheme(1, 2, 2),
-            Dataset(Mode.REAL_SPACE, geometry, 5, patterns, probe),
+            Dataset(geometry, 5, patterns, probe),
             true_object=truth, mask=mask, seed=cfg.master_seed)
         assert record.cells[(1, r)]["curve"] == [
             (i, float(e)) for i, e in single.error_log]
@@ -217,7 +220,7 @@ def test_adapter_grid_runs_all_realizations_as_one_stack():
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
-        dataset = Dataset(Mode.REAL_SPACE, geometry, 1, patterns, probe)
+        dataset = Dataset(geometry, 1, patterns, probe)
         for sid in cfg.scheme_ids:
             adapter_cfg = ptybench.engine.AdapterConfig(
                 mu_c=cfg.adapter_mu_c, inner_sweeps=2, outer_rounds=3,
@@ -399,3 +402,13 @@ def test_record_meta_says_what_ran_and_where_time_went(tmp_path):
     assert sorted(stack["scheme_s"]) == ["1", "2"]
     paths = export(record, str(tmp_path))
     assert load_record(paths["record.json"]).meta == record.meta
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only compare_schemes needs it
+    src = os.path.dirname(os.path.dirname(ptybench.forward.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ptybench; "
+            "print('scipy.stats' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, src],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
