@@ -9,7 +9,9 @@ Two families are implemented:
   constant log(y!) term dropped.
 
 Gradients are returned as the Fourier-domain residual R(u) such that
-dL/dg*(x) = idft2(R), with z = |G|^2 computed internally.
+dL/dg*(x) = back_project(R, window) for the window-sized exit wave g: the
+inverse of R cropped to the window, since G is the transform of g
+zero-padded by the oversampling factor. z = |G|^2 is computed internally.
 """
 
 import math
@@ -141,8 +143,9 @@ def cost_eval(functional, z: np.ndarray, y: np.ndarray) -> float:
 
 
 def gradient_residual(functional, G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fourier-domain residual R(u) with dL/dg* = idft2(R), z = |G|^2;
-    the functional's `residual` gives its formula."""
+    """Fourier-domain residual R(u) with dL/dg* = back_project(R, window)
+    for the window-sized exit wave g, z = |G|^2; the functional's
+    `residual` gives its formula."""
     if G.shape != y.shape:
         raise ValueError(f"shape mismatch: G {G.shape} vs y {y.shape}")
     return functional.residual(G, np.abs(G) ** 2, y)

@@ -27,7 +27,10 @@ def _unit_phase(v):
     """v / |v|, with the phase factor defined as 1 where v = 0 so runs
     stay reproducible."""
     mod = np.abs(v)
-    return np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
+    live = mod > 0
+    out = v / np.where(live, mod, 1.0)
+    out[~live] = 1.0
+    return out
 
 
 def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray) -> np.ndarray:

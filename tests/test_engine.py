@@ -8,6 +8,7 @@ from ptybench import (AdapterConfig, Dataset, FourierMix, GradientDescent,
                       er_support_iterate, exit_wave, functional_by_name,
                       global_gradient_step, idft2, modulus_substitute,
                       position_sweep, run_scheme, scheme, simulate_dataset)
+from ptybench.engine import _unit_phase
 from ptybench.harness import (ExperimentConfig, build_problem,
                               realization_seed)
 
@@ -56,6 +57,19 @@ def test_modulus_substitute_zero_phase_convention():
     G = np.zeros((2, 2), dtype=complex)
     out = modulus_substitute(G, np.full((2, 2), 2.0))
     assert np.allclose(out, 2.0 + 0.0j, atol=1e-14)
+
+
+def test_unit_phase_matches_the_two_where_formula():
+    # zeros, signed zeros, NaN, infinities, a subnormal and random values
+    v = random_field((6, 8), 3)
+    v.flat[:9] = [0.0, -0.0, complex(np.nan, 0.0), complex(np.inf, 0.0),
+                  complex(0.0, -np.inf), complex(np.inf, np.nan),
+                  complex(np.inf, np.inf), complex(np.nan, np.nan), 1e-320]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mod = np.abs(v)
+        expected = np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
+        got = _unit_phase(v)
+    assert got.tobytes() == expected.tobytes()
 
 
 # --- Error Reduction ------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from ptybench import (Mode, ScanGeometry, back_project, crop_center, dft2,
                       diffract, exit_wave, far_field, idft2, make_probe,
-                      raster_positions, simulate_dataset, synthesize_object)
+                      raster_positions, simulate_dataset, synthesize_object,
+                      zero_pad_center)
 
 
 def random_object(shape, seed):
@@ -150,12 +151,56 @@ def test_diffract_single_pixel_constant():
     assert np.allclose(out, abs(a) ** 2 / 256, atol=1e-12)
 
 
-@pytest.mark.parametrize("oversampling", [1, 5])
-@pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)], ids=["grid", "stack"])
-def test_back_project_is_the_cropped_inverse(shape, oversampling):
-    F = random_object(shape[:-2] + (8 * oversampling, 8 * oversampling), 8)
-    assert np.array_equal(back_project(F, (5, 8)),
-                          crop_center(idft2(F), 5, 8))
+# the pruned transforms rest on numpy's fft2/ifft2 running the last axis
+# first, then axis -2, each pass scaled by 1/sqrt(n) on its own
+@pytest.mark.parametrize("transform_2d, transform_1d",
+                         [(np.fft.fft2, np.fft.fft),
+                          (np.fft.ifft2, np.fft.ifft)],
+                         ids=["forward", "inverse"])
+def test_2d_transform_is_two_ortho_passes_last_axis_first(transform_2d,
+                                                          transform_1d):
+    x = random_object((4, 31, 29), 10)
+    passes = transform_1d(transform_1d(x, axis=-1, norm="ortho"),
+                          axis=-2, norm="ortho")
+    assert np.array_equal(transform_2d(x, norm="ortho"), passes)
+
+
+# one 2D window, (R, h, w) stacks with R = 1, 4, 20, and an odd window
+PRUNING_SHAPES = {"2d": (32, 32), "R1": (1, 32, 32), "R4": (4, 32, 32),
+                  "R20": (20, 32, 32), "odd": (31, 29)}
+
+
+@pytest.mark.parametrize("oversampling", [1, 2, 5])
+@pytest.mark.parametrize("shape", PRUNING_SHAPES.values(),
+                         ids=PRUNING_SHAPES.keys())
+def test_far_field_is_the_padded_transform(shape, oversampling):
+    g = random_object(shape, 11)
+    assert np.array_equal(far_field(g, oversampling),
+                          dft2(zero_pad_center(g, oversampling)))
+
+
+# far fields of the pruning shapes, cropped to their own windows, and two
+# 8x8 grids cropped to a narrower 5x8 window
+CROP_CASES = {"grid": ((8, 8), (5, 8)), "stack": ((3, 8, 8), (5, 8)),
+              **{key: (shape, shape[-2:])
+                 for key, shape in PRUNING_SHAPES.items()}}
+
+
+@pytest.mark.parametrize("oversampling", [1, 2, 5])
+@pytest.mark.parametrize("shape, window", CROP_CASES.values(),
+                         ids=CROP_CASES.keys())
+def test_back_project_is_the_cropped_inverse(shape, window, oversampling):
+    *lead, h, w = shape
+    F = random_object((*lead, oversampling * h, oversampling * w), 8)
+    assert np.array_equal(back_project(F, window),
+                          crop_center(idft2(F), *window))
+
+
+def test_far_field_and_back_project_reject_bad_sizes():
+    with pytest.raises(ValueError, match="oversampling"):
+        far_field(np.zeros((8, 8), dtype=complex), 0)
+    with pytest.raises(ValueError, match="exceeds"):
+        back_project(np.zeros((8, 8), dtype=complex), (9, 8))
 
 
 @pytest.mark.parametrize("oversampling", [1, 5])
