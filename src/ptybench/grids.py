@@ -25,6 +25,12 @@ def idft2(field: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(field, norm="ortho")
 
 
+def center_offset(big: int, small: int) -> int:
+    """Start of the centered length-`small` window in a length-`big` axis,
+    floor((big - small) / 2); every centered pad and crop uses it."""
+    return (big - small) // 2
+
+
 def zero_pad_center(field: np.ndarray, factor: int) -> np.ndarray:
     """Embed the grid(s) of `field` in the centered window of a `factor`
     times larger grid.
@@ -38,8 +44,8 @@ def zero_pad_center(field: np.ndarray, factor: int) -> np.ndarray:
         return field.copy()
     *lead, h, w = field.shape
     out = np.zeros((*lead, factor * h, factor * w), dtype=field.dtype)
-    r0 = (factor * h - h) // 2
-    c0 = (factor * w - w) // 2
+    r0 = center_offset(factor * h, h)
+    c0 = center_offset(factor * w, w)
     out[..., r0:r0 + h, c0:c0 + w] = field
     return out
 
@@ -56,6 +62,6 @@ def crop_center(field: np.ndarray, height: int, width: int) -> np.ndarray:
         raise ValueError(
             f"crop target {height}x{width} exceeds source {h}x{w}"
         )
-    r0 = (h - height) // 2
-    c0 = (w - width) // 2
+    r0 = center_offset(h, height)
+    c0 = center_offset(w, width)
     return field[..., r0:r0 + height, c0:c0 + width].copy()

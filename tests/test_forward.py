@@ -196,8 +196,19 @@ def test_back_project_is_the_cropped_inverse(shape, window, oversampling):
                           crop_center(idft2(F), *window))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex64])
+def test_pruned_transforms_keep_the_dtype_of_the_full_ones(dtype):
+    x = random_object((3, 31, 29), 12).real.astype(dtype)
+    G = far_field(x, 5)
+    assert G.dtype == dft2(x).dtype
+    assert np.array_equal(G, dft2(zero_pad_center(x, 5)))
+    F = random_object((3, 155, 145), 13).real.astype(dtype)
+    assert np.array_equal(back_project(F, (31, 29)),
+                          crop_center(idft2(F), 31, 29))
+
+
 def test_far_field_and_back_project_reject_bad_sizes():
-    with pytest.raises(ValueError, match="oversampling"):
+    with pytest.raises(ValueError, match="factor must be >= 1"):
         far_field(np.zeros((8, 8), dtype=complex), 0)
     with pytest.raises(ValueError, match="exceeds"):
         back_project(np.zeros((8, 8), dtype=complex), (9, 8))
