@@ -17,8 +17,8 @@ import numpy as np
 
 from .cost import (Transform, TRANSFORMS, functional_by_name,
                    gradient_residual)
-from .forward import (Dataset, Mode, back_project, exit_wave, far_field,
-                      simulate_dataset)
+from .forward import (Dataset, back_project, diffract, exit_wave,
+                      far_field)
 from .grids import dft2, idft2
 from .metrics import align_and_error
 
@@ -367,21 +367,27 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
     `inner_sweeps` position sweeps against m~, then mixes
     m~ <- (1 - mu_c) m~ + mu_c z0 with z0 the currently predicted stack.
 
-    On an object stack the rounds stop once every slice has failed, as
-    the sweeps of `run_scheme` do. Returns (final state, final m~ stack).
+    The mix runs in place, one position at a time, so no whole predicted
+    stack is held; each element is the same fl(fl(a m~) + fl(b z0)). On an
+    object stack the rounds stop once every slice has failed, as the sweeps
+    of `run_scheme` do. Returns (final state, final m~ stack).
     """
     state = _start_state(dataset, init_object, seed)
     m_tilde = dataset.patterns.astype(float, copy=True)
+    # built once: m~ stays a nonnegative convex combination of nonnegative
+    # stacks, so the checks of Dataset hold in every round
+    adapted = replace(dataset, patterns=m_tilde)
+    s = dataset.oversampling
     for _ in range(config.outer_rounds):
-        _sweeps(state, replace(dataset, patterns=m_tilde), config.inner_rule,
-                config.inner_mu, config.inner_sweeps, true_object, mask)
+        _sweeps(state, adapted, config.inner_rule, config.inner_mu,
+                config.inner_sweeps, true_object, mask)
         if state.all_failed():
             break
         if config.mu_c > 0.0:
             # the estimate already lives in the effective (real-space-
             # equivalent) domain, so always re-simulate in real-space terms
-            z0 = simulate_dataset(state.object_estimate, dataset.probe,
-                                  dataset.geometry, Mode.REAL_SPACE,
-                                  dataset.oversampling)
-            m_tilde = (1.0 - config.mu_c) * m_tilde + config.mu_c * z0
+            for j, pos in enumerate(dataset.geometry.positions):
+                m_tilde[j] *= 1.0 - config.mu_c
+                m_tilde[j] += config.mu_c * diffract(
+                    exit_wave(state.object_estimate, dataset.probe, pos), s)
     return state, m_tilde

@@ -12,7 +12,8 @@ realizations form one stack; at oversampling 5 each realization is a stack
 of its own. The error-reduction warmup, which every scheme shares, runs
 once per stack, and each scheme refines a copy of the warmed stack. The
 adapter runs on the same stacks with no warmup, each scheme from the
-constant start.
+constant start. At oversampling 5 the schemes of a stack run concurrently
+on a thread pool; the results do not depend on it.
 """
 
 import hashlib
@@ -249,10 +250,19 @@ def _reconstruct(cfg, spec, dataset, truth, mask, warm):
                              start=warm)
 
 
-def _run_stack(cfg, specs, dataset, truth, mask, group, cells):
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_stack(cfg, specs, dataset, truth, mask, group, cells, pool):
     """Every scheme on the stack of realizations `group`, from one shared
     warmup (none for the adapter); fills cells[(scheme, realization)] and
-    returns the timings.
+    returns the timings. With a thread `pool` the schemes run concurrently,
+    and their cells and times are still filled in spec order.
 
     A realization whose error cannot be scored fails only its own cells.
     Any other numeric failure fails every cell of the stack it reaches:
@@ -272,54 +282,76 @@ def _run_stack(cfg, specs, dataset, truth, mask, group, cells):
         return timing
     finally:
         timing["warmup_s"] = time.perf_counter() - t0
-    for spec in specs:
+
+    def scheme_cells(spec):
         t0 = time.perf_counter()
         try:
-            # no name holds the reconstructed state, so it is freed before
-            # the next scheme runs
+            # no name holds the reconstructed state, so it is freed as soon
+            # as its cells are made
             results = _stack_cells(
                 _reconstruct(cfg, spec, dataset, truth, mask, warm), group)
         except engine.NUMERIC_FAILURES as exc:
             results = {r: _failed_cell(exc) for r in group}
+        return results, time.perf_counter() - t0
+
+    for spec, (results, seconds) in zip(
+            specs, (pool.map if pool else map)(scheme_cells, specs)):
         cells.update(((spec.id, r), cell) for r, cell in results.items())
-        timing["scheme_s"][str(spec.id)] = time.perf_counter() - t0
+        timing["scheme_s"][str(spec.id)] = seconds
     return timing
 
 
-def environment(cfg: ExperimentConfig) -> dict:
-    """What a run ran on: package and interpreter versions and the config
-    hash."""
+def environment(cfg: ExperimentConfig, workers: int) -> dict:
+    """What a run ran on: package and interpreter versions, the config
+    hash and the number of threads the grid's schemes ran on."""
     from . import __version__
     return {"ptybench": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
-            "config_hash": cfg.hash()}
+            "config_hash": cfg.hash(), "workers": workers}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     truth, probe, geometry, mask, clean, specs = build_problem(cfg)
     model = NoiseModel(cfg.noise_model)
+    # all realizations as one stack at oversampling 1; at oversampling 5
+    # batching 160x160 transforms gains nothing, and one stack would hold
+    # every realization's patterns at once
+    groups = ([range(cfg.realizations)] if cfg.oversampling == 1
+              else [[r] for r in range(cfg.realizations)])
+    # at oversampling 5 a stack's schemes run concurrently, one thread per
+    # CPU: their 160x160 transforms and elementwise math release the
+    # interpreter lock. The 32x32 sweeps at oversampling 1 hold it most of
+    # the time, and measured slower on threads than one after another.
+    workers = (1 if cfg.oversampling == 1
+               else min(len(specs), usable_cpus()))
 
     # normalize tuples to lists so the in-memory record equals its JSON
     # round trip
     config_echo = json.loads(json.dumps(asdict(cfg), default=list))
     record = ExperimentRecord(config=config_echo, config_hash=cfg.hash())
     record.meta["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    record.meta["environment"] = environment(cfg)
+    record.meta["environment"] = environment(cfg, workers)
     seeds = [realization_seed(cfg.master_seed, r)
              for r in range(cfg.realizations)]
     cells, timings = {}, []
-    # all realizations as one stack at oversampling 1; at oversampling 5
-    # batching 160x160 transforms gains nothing, and one stack would hold
-    # every realization's patterns at once
-    groups = ([range(cfg.realizations)] if cfg.oversampling == 1
-              else [[r] for r in range(cfg.realizations)])
-    for group in groups:
-        patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
-        dataset = Dataset(geometry, cfg.oversampling, patterns, probe)
-        timings.append(_run_stack(cfg, specs, dataset, truth, mask, group,
-                                  cells))
-        # free this stack's patterns before the next one is drawn
-        del patterns, dataset
+    pool = None
+    if workers > 1:
+        # loaded by its one user: concurrent.futures imports logging, which
+        # would raise the peak memory of every run by about 0.5 MB
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers)
+    try:
+        for group in groups:
+            patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
+            dataset = Dataset(geometry, cfg.oversampling, patterns, probe)
+            timings.append(_run_stack(cfg, specs, dataset, truth, mask,
+                                      group, cells, pool))
+            # free this stack's patterns before the next one is drawn
+            del patterns, dataset
+    finally:
+        if pool is not None:
+            # a bug in one scheme ends the run: drop the queued schemes
+            pool.shutdown(cancel_futures=True)
     record.meta["timings"] = timings
     # insert in (realization, scheme) order, the order the cells are
     # summed in by callers that iterate the record

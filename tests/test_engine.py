@@ -407,6 +407,33 @@ def test_adapter_targets_stay_nonnegative():
     assert np.all(m_tilde >= 0)
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_adapter_mixes_targets_in_place_bit_for_bit(stacked):
+    # reference: the whole predicted stack, then the whole-stack mix
+    truth, dataset = toy_problem(seed=13, oversampling=5)
+    noisy = np.stack([pb.sample_speckle(dataset.patterns * 20, seed=k)
+                      for k in range(2)], axis=1)
+    if not stacked:
+        noisy = noisy[:, 0]
+    dataset = Dataset(dataset.geometry, 5, noisy, dataset.probe)
+    cfg = AdapterConfig(mu_c=0.3, inner_sweeps=2, outer_rounds=3)
+    state, m_tilde = adapt_constraints(dataset, cfg, seed=4)
+
+    ref = ReconstructionState.constant_init(
+        noisy.shape[1:-2] + dataset.geometry.object_dims, seed=4)
+    ref_m = noisy.copy()
+    for _ in range(cfg.outer_rounds):
+        targets = Dataset(dataset.geometry, 5, ref_m, dataset.probe)
+        for _ in range(cfg.inner_sweeps):
+            position_sweep(ref, targets, cfg.inner_rule, cfg.inner_mu)
+        z0 = simulate_dataset(ref.object_estimate, dataset.probe,
+                              dataset.geometry, Mode.REAL_SPACE, 5)
+        ref_m = (1.0 - cfg.mu_c) * ref_m + cfg.mu_c * z0
+    assert np.array_equal(m_tilde, ref_m)
+    assert np.array_equal(state.object_estimate, ref.object_estimate)
+    assert np.array_equal(dataset.patterns, noisy)  # the input is kept
+
+
 def test_adapter_stops_once_every_slice_has_failed():
     truth, dataset = toy_problem(seed=16)
     diverged = np.full(dataset.geometry.object_dims, np.nan, dtype=complex)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import ptybench.engine
 import ptybench.forward
+import ptybench.harness
 from ptybench import (ExperimentConfig, ExperimentRecord, compare_schemes,
                       export, load_record, parse_config)
 from ptybench.forward import Dataset
@@ -24,6 +26,13 @@ SMALL_CONFIG = dict(
 
 def small_config(**overrides):
     return ExperimentConfig(**{**SMALL_CONFIG, **overrides})
+
+
+@pytest.fixture(autouse=True)
+def four_cpus(monkeypatch):
+    # at oversampling 5 the schemes then run on a thread pool whatever the
+    # host's CPU count
+    monkeypatch.setattr(ptybench.harness, "usable_cpus", lambda: 4)
 
 
 # --- config parsing -----------------------------------------------------------
@@ -171,12 +180,15 @@ def test_failure_isolation(monkeypatch):
         return original(spec, *args, **kwargs)
 
     monkeypatch.setattr("ptybench.harness.engine.run_scheme", flaky)
-    record = run_experiment(small_config(realizations=2))
-    assert record.summaries[2].get("failed") is True
-    for r in range(2):
-        assert record.cells[(2, r)]["ok"] is False
-        assert "synthetic divergence" in record.cells[(2, r)]["error"]
-        assert record.cells[(1, r)]["ok"] is True  # siblings unaffected
+    # oversampling 5 runs the schemes on the thread pool
+    for oversampling in (1, 5):
+        record = run_experiment(small_config(realizations=2,
+                                             oversampling=oversampling))
+        assert record.summaries[2].get("failed") is True
+        for r in range(2):
+            assert record.cells[(2, r)]["ok"] is False
+            assert "synthetic divergence" in record.cells[(2, r)]["error"]
+            assert record.cells[(1, r)]["ok"] is True  # siblings unaffected
 
 
 def test_warmup_failure_fails_every_cell(monkeypatch):
@@ -184,29 +196,41 @@ def test_warmup_failure_fails_every_cell(monkeypatch):
         raise ArithmeticError("synthetic warmup divergence")
 
     monkeypatch.setattr("ptybench.harness.engine.warm_start", failing)
-    record = run_experiment(small_config(realizations=2))
-    for cell in record.cells.values():
-        assert cell["ok"] is False
-        assert "synthetic warmup divergence" in cell["error"]
-    assert all(record.summaries[sid].get("failed") for sid in (1, 2))
+    for oversampling in (1, 5):
+        record = run_experiment(small_config(realizations=2,
+                                             oversampling=oversampling))
+        for cell in record.cells.values():
+            assert cell["ok"] is False
+            assert "synthetic warmup divergence" in cell["error"]
+        assert all(record.summaries[sid].get("failed") for sid in (1, 2))
 
 
 def test_oversampled_grid_runs_one_realization_at_a_time():
-    cfg = small_config(oversampling=5, realizations=2, scheme_ids=(1,),
+    cfg = small_config(oversampling=5, realizations=2, scheme_ids=(2, 1),
                        warmup_iterations=2, refinement_iterations=2)
-    record = run_experiment(cfg)
+    # switch threads often, so the pooled schemes interleave finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        record = run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert record.meta["environment"]["workers"] == 2
     assert [t["realizations"] for t in record.meta["timings"]] == [1, 1]
+    assert all(list(t["scheme_s"]) == ["2", "1"]
+               for t in record.meta["timings"])
     # each one-slice stack gives the realization's own 2D run
     truth, probe, geometry, mask, clean, _ = build_problem(cfg)
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
-        single = ptybench.engine.run_scheme(
-            ptybench.engine.scheme(1, 2, 2),
-            Dataset(geometry, 5, patterns, probe),
-            true_object=truth, mask=mask, seed=cfg.master_seed)
-        assert record.cells[(1, r)]["curve"] == [
-            (i, float(e)) for i, e in single.error_log]
+        for sid in cfg.scheme_ids:
+            single = ptybench.engine.run_scheme(
+                ptybench.engine.scheme(sid, 2, 2),
+                Dataset(geometry, 5, patterns, probe),
+                true_object=truth, mask=mask, seed=cfg.master_seed)
+            assert record.cells[(sid, r)]["curve"] == [
+                (i, float(e)) for i, e in single.error_log]
 
 
 def test_adapter_grid_runs_all_realizations_as_one_stack():
@@ -242,8 +266,13 @@ def test_programming_error_propagates(monkeypatch):
         return original(spec, *args, **kwargs)
 
     monkeypatch.setattr("ptybench.harness.engine.run_scheme", broken)
-    with pytest.raises(TypeError, match="synthetic bug"):
-        run_experiment(small_config(realizations=1))
+    threads = threading.active_count()
+    for oversampling in (1, 5):
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(small_config(realizations=1,
+                                        oversampling=oversampling))
+        # the run shut its pool down before the error left it
+        assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("target", ["run_scheme", "warm_start"])
@@ -395,7 +424,8 @@ def test_record_meta_says_what_ran_and_where_time_went(tmp_path):
     environment = record.meta["environment"]
     assert environment["config_hash"] == record.config_hash
     assert set(environment) == {"ptybench", "python", "numpy", "scipy",
-                                "config_hash"}
+                                "config_hash", "workers"}
+    assert environment["workers"] == 1  # oversampling 1: no pool
     (stack,) = record.meta["timings"]
     assert stack["realizations"] == 2
     assert stack["warmup_s"] >= 0
