@@ -24,12 +24,16 @@ import numpy as np
 @dataclass(frozen=True)
 class Transform:
     """A monotone intensity transform with derivative and inverse; as a
-    cost functional it is the variance-stabilized sum (T(z) - T(y))^2."""
+    cost functional it is the variance-stabilized sum (T(z) - T(y))^2.
+
+    fwd_deriv(z) gives (fwd(z), deriv(z)) bit for bit, sharing the work
+    the two have in common (a shifted square root or a shifted sum)."""
 
     name: str
     fwd: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
+    fwd_deriv: Callable[[np.ndarray], tuple]
 
     def cost(self, z: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum((self.fwd(z) - self.fwd(y)) ** 2))
@@ -39,7 +43,8 @@ class Transform:
         """R = 2 (T(z) - T(y)) T'(z) G, set to 0 where z = 0 (limit
         convention: a dark estimate carries no phase information)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            R = 2.0 * (self.fwd(z) - self.fwd(y)) * self.deriv(z) * G
+            f, d = self.fwd_deriv(z)
+            R = 2.0 * (f - self.fwd(y)) * d * G
         R[z == 0] = 0
         return R
 
@@ -47,36 +52,63 @@ class Transform:
 def _power_transform(alpha: float) -> Transform:
     if not 0 < alpha <= 1:
         raise ValueError(f"power-law exponent must be in (0, 1], got {alpha}")
+
+    def fwd(z):
+        return np.power(z, alpha)
+
+    def deriv(z):
+        return alpha * np.power(z, alpha - 1)
+
     return Transform(
         name=f"pow_{alpha}",
-        fwd=lambda z: np.power(z, alpha),
-        deriv=lambda z: alpha * np.power(z, alpha - 1),
+        fwd=fwd,
+        deriv=deriv,
         inv=lambda v: np.power(np.maximum(v, 0.0), 1.0 / alpha),
+        fwd_deriv=lambda z: (fwd(z), deriv(z)),
     )
 
 
 def _shifted_sqrt(name: str, shift: float) -> Transform:
+    def fwd_deriv(z):
+        r = np.sqrt(z + shift)
+        return r, 0.5 / r
+
     return Transform(
         name=name,
         fwd=lambda z: np.sqrt(z + shift),
         deriv=lambda z: 0.5 / np.sqrt(z + shift),
         inv=lambda v: np.maximum(v, 0.0) ** 2 - shift,
+        fwd_deriv=fwd_deriv,
     )
 
 
 def _shifted_log(name: str, shift: float) -> Transform:
+    def fwd_deriv(z):
+        u = z + shift
+        return np.log(u), 1.0 / u
+
     return Transform(
         name=name,
         fwd=lambda z: np.log(z + shift),
         deriv=lambda z: 1.0 / (z + shift),
         inv=lambda v: np.exp(v) - shift,
+        fwd_deriv=fwd_deriv,
     )
 
 
+def _identity() -> Transform:
+    def fwd(z):
+        return np.asarray(z, dtype=float)
+
+    def deriv(z):
+        return np.ones_like(fwd(z))
+
+    return Transform("identity", fwd, deriv, fwd,
+                     lambda z: (fwd(z), deriv(z)))
+
+
 TRANSFORMS = {
-    "identity": Transform("identity", lambda z: np.asarray(z, dtype=float),
-                          lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                          lambda v: np.asarray(v, dtype=float)),
+    "identity": _identity(),
     "sqrt": _shifted_sqrt("sqrt", 0.0),
     "anscombe": _shifted_sqrt("anscombe", 3.0 / 8.0),
     "sqrt_plus_1": _shifted_sqrt("sqrt_plus_1", 1.0),

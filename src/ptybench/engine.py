@@ -23,14 +23,13 @@ from .grids import dft2, idft2
 from .metrics import align_and_error
 
 
-def _unit_phase(v):
-    """v / |v|, with the phase factor defined as 1 where v = 0 so runs
-    stay reproducible."""
-    mod = np.abs(v)
-    live = mod > 0
-    out = v / np.where(live, mod, 1.0)
-    out[~live] = 1.0
-    return out
+def _unit_phase(v, mod=None):
+    """v / |v|, with the phase factor defined as 1 where v = 0 (or |v| is
+    NaN) so runs stay reproducible. `mod` is np.abs(v) when the caller has
+    already computed it."""
+    if mod is None:
+        mod = np.abs(v)
+    return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
 
 
 def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray) -> np.ndarray:
@@ -85,9 +84,9 @@ class FourierMix:
         if mu == 0.0:
             return
         t = self.transform
-        z = np.abs(G) ** 2
-        mixed = t.inv((1.0 - mu) * t.fwd(z) + mu * t.fwd(pattern))
-        G_new = np.sqrt(np.maximum(mixed, 0.0)) * _unit_phase(G)
+        mod = np.abs(G)
+        mixed = t.inv((1.0 - mu) * t.fwd(mod ** 2) + mu * t.fwd(pattern))
+        G_new = np.sqrt(np.maximum(mixed, 0.0)) * _unit_phase(G, mod)
         g_new = back_project(G_new, probe.shape)
         window += np.conj(probe) * (g_new - g)
 
@@ -109,10 +108,10 @@ class ObjectMix:
         g_prime = back_project(modulus_substitute(G, np.sqrt(pattern)),
                                probe.shape)
         window_prime = window + np.conj(probe) * (g_prime - g)
-        mod = t.inv((1.0 - mu) * t.fwd(np.abs(window))
-                    + mu * t.fwd(np.abs(window_prime)))
-        phase = _unit_phase((1.0 - mu) * _unit_phase(window)
-                            + mu * _unit_phase(window_prime))
+        amp, amp_prime = np.abs(window), np.abs(window_prime)
+        mod = t.inv((1.0 - mu) * t.fwd(amp) + mu * t.fwd(amp_prime))
+        phase = _unit_phase((1.0 - mu) * _unit_phase(window, amp)
+                            + mu * _unit_phase(window_prime, amp_prime))
         window[:] = np.maximum(mod, 0.0) * phase
 
     def describe(self):

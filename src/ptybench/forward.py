@@ -147,11 +147,10 @@ def exit_wave(obj: np.ndarray, probe: np.ndarray, position: tuple) -> np.ndarray
     return obj[..., r:r + wh, c:c + ww] * probe
 
 
-# numpy's fft2/ifft2 transform the last axis first, then axis -2, and with
-# norm="ortho" each 1-D pass scales by 1/sqrt(n) on its own, so running the
-# two passes by hand and skipping the lines that are all zero on input or
-# thrown away on output gives the full 2D results bit for bit (FFT pruning;
-# Markel, IEEE Trans. Audio Electroacoust. 19, 305 (1971)).
+# dft2/idft2 are two 1-D ortho passes, last axis first (see grids), so
+# running the passes here and skipping the lines that are all zero on input
+# or thrown away on output gives the full 2D results bit for bit (FFT
+# pruning; Markel, IEEE Trans. Audio Electroacoust. 19, 305 (1971)).
 
 def far_field(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
     """Far field F{exit wave zero-padded by the oversampling factor}, equal

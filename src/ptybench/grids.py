@@ -10,19 +10,27 @@ without bookkeeping: ||dft2(x)|| == ||x||.
 import numpy as np
 
 
+# numpy's fft2/ifft2 run a 1-D pass over the last axis, then one over axis
+# -2, and with norm="ortho" each pass scales by 1/sqrt(n) on its own; the
+# two passes called directly give the same bits without fft2's argument
+# handling, the second one in place (out=: numpy >= 2.0).
+
 def dft2(field: np.ndarray) -> np.ndarray:
     """2D DFT over the last two axes with unitary normalization, zero
-    frequency at index (0, 0)."""
+    frequency at index (0, 0); bit for bit np.fft.fft2(field, norm="ortho")."""
     if field.ndim < 2:
         raise ValueError("dft2 expects an array of at least 2 dimensions")
-    return np.fft.fft2(field, norm="ortho")
+    out = np.fft.fft(field, axis=-1, norm="ortho")
+    return np.fft.fft(out, axis=-2, norm="ortho", out=out)
 
 
 def idft2(field: np.ndarray) -> np.ndarray:
-    """Exact inverse of dft2 (unitary normalization)."""
+    """Exact inverse of dft2 (unitary normalization); bit for bit
+    np.fft.ifft2(field, norm="ortho")."""
     if field.ndim < 2:
         raise ValueError("idft2 expects an array of at least 2 dimensions")
-    return np.fft.ifft2(field, norm="ortho")
+    out = np.fft.ifft(field, axis=-1, norm="ortho")
+    return np.fft.ifft(out, axis=-2, norm="ortho", out=out)
 
 
 def center_offset(big: int, small: int) -> int:

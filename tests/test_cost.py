@@ -77,6 +77,19 @@ def test_transform_derivative_matches_fd(name):
     assert np.allclose(t.deriv(z), fd, rtol=1e-6)
 
 
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_fwd_deriv_is_fwd_and_deriv_bit_for_bit(name):
+    t = TRANSFORMS[name]
+    z = np.random.default_rng(5).random(40) * 100
+    z[:4] = [0.0, 5e-324, 1e300, np.inf]
+    with np.errstate(all="ignore"):
+        f, d = t.fwd_deriv(z)
+        want_f, want_d = t.fwd(z), t.deriv(z)
+    assert f.dtype == want_f.dtype and d.dtype == want_d.dtype
+    assert f.tobytes() == want_f.tobytes()
+    assert d.tobytes() == want_d.tobytes()
+
+
 # --- cost evaluation ---------------------------------------------------------
 
 def test_vst_cost_zero_at_data():

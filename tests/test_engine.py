@@ -69,7 +69,70 @@ def test_unit_phase_matches_the_two_where_formula():
         mod = np.abs(v)
         expected = np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
         got = _unit_phase(v)
+        given_mod = _unit_phase(v, np.abs(v))
     assert got.tobytes() == expected.tobytes()
+    assert given_mod.tobytes() == expected.tobytes()
+
+
+# the rules' math as it was written before the phase took a precomputed
+# modulus and the residual a shared fwd_deriv: one update must match it bit
+# for bit, including at exact zeros of G and of the window
+
+def _reference_unit_phase(v):
+    mod = np.abs(v)
+    live = mod > 0
+    out = v / np.where(live, mod, 1.0)
+    out[~live] = 1.0
+    return out
+
+
+def _reference_update(rule, window, g, G, pattern, probe, mu):
+    if isinstance(rule, GradientDescent):
+        t = rule.functional
+        z = np.abs(G) ** 2
+        R = 2.0 * (t.fwd(z) - t.fwd(pattern)) * t.deriv(z) * G
+        R[z == 0] = 0
+        return window - mu * np.conj(probe) * np.fft.ifft2(R, norm="ortho")
+    t = rule.transform
+    if isinstance(rule, FourierMix):
+        z = np.abs(G) ** 2
+        mixed = t.inv((1.0 - mu) * t.fwd(z) + mu * t.fwd(pattern))
+        G_new = np.sqrt(np.maximum(mixed, 0.0)) * _reference_unit_phase(G)
+        g_new = np.fft.ifft2(G_new, norm="ortho")
+        return window + np.conj(probe) * (g_new - g)
+    G_sub = np.sqrt(pattern) * _reference_unit_phase(G)
+    g_prime = np.fft.ifft2(G_sub, norm="ortho")
+    window_prime = window + np.conj(probe) * (g_prime - g)
+    mod = t.inv((1.0 - mu) * t.fwd(np.abs(window))
+                + mu * t.fwd(np.abs(window_prime)))
+    phase = _reference_unit_phase(
+        (1.0 - mu) * _reference_unit_phase(window)
+        + mu * _reference_unit_phase(window_prime))
+    return np.maximum(mod, 0.0) * phase
+
+
+RULE_CASES = {
+    **{f"descent-{name}": GradientDescent(functional_by_name(name))
+       for name in ("sqrt", "pow_0.7", "log_1")},
+    **{f"{cls.__name__}-{name}": cls(TRANSFORMS[name])
+       for cls in (FourierMix, ObjectMix) for name in ("anscombe", "identity")},
+}
+
+
+@pytest.mark.parametrize("rule", RULE_CASES.values(), ids=RULE_CASES.keys())
+def test_update_matches_the_reference_formulas_bit_for_bit(rule):
+    window = random_field((3, 32, 32), 30)
+    window.flat[::37] = 0.0
+    probe = pb.make_probe("gaussian", 8, (32, 32))
+    g = window * probe
+    G = np.fft.fft2(g, norm="ortho")
+    G.flat[::41] = 0.0
+    pattern = np.abs(random_field((3, 32, 32), 31)) ** 2 * 50
+    with np.errstate(all="ignore"):
+        expected = _reference_update(rule, window, g, G, pattern, probe, 0.1)
+        got = window.copy()
+        rule.update(got, g, G, pattern, probe, 0.1)
+    assert np.array_equal(got, expected)
 
 
 # --- Error Reduction ------------------------------------------------------------

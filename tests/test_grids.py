@@ -107,3 +107,19 @@ def test_stack_equals_per_slice_results():
         out = fn(stack, *args)
         for k in range(len(stack)):
             assert np.array_equal(out[k], fn(stack[k], *args))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex64,
+                                   np.complex128])
+@pytest.mark.parametrize("shape", [(32, 32), (4, 32, 32), (3, 31, 29)],
+                         ids=["grid", "stack", "odd"])
+@pytest.mark.parametrize("ours, numpys", [(dft2, np.fft.fft2),
+                                          (idft2, np.fft.ifft2)],
+                         ids=["forward", "inverse"])
+def test_transforms_are_numpys_ortho_fft2_bit_for_bit(ours, numpys, shape,
+                                                     dtype):
+    x = random_field(shape, 21)
+    x = (x.real if np.dtype(dtype).kind == "f" else x).astype(dtype)
+    got, want = ours(x), numpys(x, norm="ortho")
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
