@@ -65,7 +65,7 @@ def _check_non_negative(flag, value):
 def _cmd_simulate(args):
     _check_non_negative("--realization", args.realization)
     cfg = _read_config(args.config)
-    truth, probe, geometry, _, clean, _ = harness.build_problem(cfg)
+    truth, probe, geometry, _, clean, _, _ = harness.build_problem(cfg)
     model = NoiseModel(cfg.noise_model)
     seed = harness.realization_seed(cfg.master_seed, args.realization)
     patterns = noise.apply_noise(clean, model, seed)
@@ -95,7 +95,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_bench(args):
     cfg = _read_config(args.config)
-    if args.output_dir:
+    if args.output_dir is not None:
         cfg.output_dir = args.output_dir
     record = harness.run_experiment(cfg)
     paths = harness.export(record, cfg.output_dir)

@@ -125,8 +125,8 @@ NUMERIC_FAILURES = (ArithmeticError,)
 
 @dataclass
 class ReconstructionState:
-    """One object estimate (H, W) or a stack of them (R, H, W), with the
-    sweep count, the error log and the stream that orders the sweeps.
+    """One object estimate (H, W) or a stack (R, H, W) with its sweep count,
+    error log, sweep-order stream, and the truth and mask it is scored by.
 
     For a stack, each error_log entry holds an (R,) array of errors, and
     `failures` maps the index of each slice that could not be scored (its
@@ -140,28 +140,26 @@ class ReconstructionState:
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0))
     failures: dict = field(default_factory=dict)
-
-    @classmethod
-    def constant_init(cls, object_dims, seed=0):
-        return cls(object_estimate=np.ones(object_dims, dtype=complex),
-                   rng=np.random.default_rng(seed))
+    true_object: Optional[np.ndarray] = None
+    mask: Optional[np.ndarray] = None
 
     def fork(self) -> "ReconstructionState":
-        """An independent copy: object, error log, failures and rng."""
-        return copy.deepcopy(self)
+        """An independent copy that shares only the ground truth and mask."""
+        return copy.deepcopy(self, {id(self.true_object): self.true_object,
+                                    id(self.mask): self.mask})
 
     def all_failed(self) -> bool:
         return (self.object_estimate.ndim > 2
                 and len(self.failures) == len(self.object_estimate))
 
-    def log_error(self, true_object, mask):
-        """Append (iteration, masked error) when a ground truth is given.
+    def log_error(self):
+        """Append (iteration, masked error) when the state has a ground truth.
         A non-finite error raises ArithmeticError on a 2D estimate, so a
         diverging run stops at the first sweep that shows it, and an error
         that cannot be computed raises AlignmentUndefined; in a stack either
         marks only its slice failed, and that slice's error reads NaN from
         then on."""
-        if true_object is None:
+        if self.true_object is None:
             return
         obj = self.object_estimate
         slices = obj.reshape((-1,) + obj.shape[-2:])
@@ -170,7 +168,8 @@ class ReconstructionState:
             if k in self.failures:
                 continue
             try:
-                err = errors[k] = align_and_error(estimate, true_object, mask)
+                err = errors[k] = align_and_error(estimate, self.true_object,
+                                                  self.mask)
             except NUMERIC_FAILURES as exc:
                 self.failures[k] = exc
                 continue
@@ -186,15 +185,15 @@ class ReconstructionState:
             self.error_log.append((self.iteration, errors))
 
 
-def _start_state(dataset: Dataset, init_object, seed) -> ReconstructionState:
-    """A copy of `init_object`, or the constant start when it is None, for
-    each reconstruction in the dataset's batch."""
+def _start_state(dataset, init_object, seed, true_object, mask):
+    """The one start constructor: `init_object`, or 1 when it is None,
+    copied for each reconstruction in the dataset's batch and scored
+    against `true_object` on `mask`."""
     shape = dataset.patterns.shape[1:-2] + dataset.geometry.object_dims
-    if init_object is None:
-        return ReconstructionState.constant_init(shape, seed=seed)
     return ReconstructionState(
-        object_estimate=np.broadcast_to(init_object, shape).astype(complex),
-        rng=np.random.default_rng(seed))
+        np.broadcast_to(1.0 if init_object is None else init_object,
+                        shape).astype(complex),
+        rng=np.random.default_rng(seed), true_object=true_object, mask=mask)
 
 
 def position_sweep(state: ReconstructionState, dataset: Dataset,
@@ -289,14 +288,14 @@ def scheme(scheme_id: int, warmup_iterations: int = 100,
 
 # log_error records a diverging run's inf and NaN as its failure
 @np.errstate(over="ignore", invalid="ignore")
-def _sweeps(state, dataset, rule, mu, count, true_object, mask):
+def _sweeps(state, dataset, rule, mu, count):
     """`count` sweeps, each followed by its error; stops early once every
     slice of a stack has failed."""
     for _ in range(count):
         if state.all_failed():
             break
         position_sweep(state, dataset, rule, mu)
-        state.log_error(true_object, mask)
+        state.log_error()
     return state
 
 
@@ -306,13 +305,13 @@ def warm_start(dataset: Dataset, warmup_iterations: int,
                true_object: Optional[np.ndarray] = None,
                mask: Optional[np.ndarray] = None,
                seed: int = 0) -> ReconstructionState:
-    """The warmup every scheme shares: the start state, then
-    `warmup_iterations` sweeps of Error Reduction (amplitude cost,
-    mu = 1), logging the masked error when a ground truth is given."""
-    state = _start_state(dataset, init_object, seed)
-    state.log_error(true_object, mask)
-    return _sweeps(state, dataset, WARMUP_RULE, 1.0, warmup_iterations,
-                   true_object, mask)
+    """The warmup every scheme shares: the start state, which carries the
+    truth and mask its forks are scored against, then `warmup_iterations`
+    sweeps of Error Reduction (amplitude cost, mu = 1), logging the masked
+    error from sweep 0 when a ground truth is given."""
+    state = _start_state(dataset, init_object, seed, true_object, mask)
+    state.log_error()
+    return _sweeps(state, dataset, WARMUP_RULE, 1.0, warmup_iterations)
 
 
 def run_scheme(spec: SchemeSpec, dataset: Dataset,
@@ -325,16 +324,16 @@ def run_scheme(spec: SchemeSpec, dataset: Dataset,
     """Run one benchmark scheme: warmup sweeps of Error Reduction
     (amplitude cost, mu = 1), then refinement sweeps with the scheme's rule.
 
-    Logs the masked reconstruction error once per sweep when a ground
-    truth is given. With `start`, a warmed state from `warm_start`, the
-    scheme refines a fork of it and leaves it unchanged; `init_object`,
-    `seed` and `spec.warmup_iterations` are then already spent.
+    Logs the masked error once per sweep when a ground truth is given.
+    With `start`, a warmed state from `warm_start`, it refines a fork scored
+    against the start's truth and leaves the start unchanged; `init_object`,
+    `true_object`, `mask`, `seed` and `spec.warmup_iterations` are spent.
     """
     state = (start.fork() if start is not None else
              warm_start(dataset, spec.warmup_iterations, init_object,
                         true_object, mask, seed))
     return _sweeps(state, dataset, spec.refinement_rule, spec.mu,
-                   spec.refinement_iterations, true_object, mask)
+                   spec.refinement_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,7 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
     object stack the rounds stop once every slice has failed, as the sweeps
     of `run_scheme` do. Returns (final state, final m~ stack).
     """
-    state = _start_state(dataset, init_object, seed)
+    state = _start_state(dataset, init_object, seed, true_object, mask)
     m_tilde = dataset.patterns.astype(float, copy=True)
     # built once: m~ stays a nonnegative convex combination of nonnegative
     # stacks, so the checks of Dataset hold in every round
@@ -379,7 +378,7 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
     s = dataset.oversampling
     for _ in range(config.outer_rounds):
         _sweeps(state, adapted, config.inner_rule, config.inner_mu,
-                config.inner_sweeps, true_object, mask)
+                config.inner_sweeps)
         if state.all_failed():
             break
         if config.mu_c > 0.0:

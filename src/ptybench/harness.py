@@ -21,7 +21,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 import scipy
@@ -66,6 +66,8 @@ class ExperimentConfig:
                              f"got {self.oversampling}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        if not self.output_dir:
+            raise ValueError("output_dir must name a directory, got ''")
         if not self.scheme_ids:
             raise ValueError("scheme_ids must name at least one scheme")
         if len(set(self.scheme_ids)) != len(self.scheme_ids):
@@ -183,8 +185,9 @@ def _summary_stats(errors):
 
 def build_problem(cfg: ExperimentConfig):
     """Validate a config and build its inputs. Returns (effective truth,
-    probe, geometry, mask, noise-free stack, scheme specs)."""
-    geometry, probe, truth, specs, _ = cfg.validate()
+    probe, geometry, mask, noise-free stack, scheme specs, adapter settings)
+    with everything `validate()` built."""
+    geometry, probe, truth, specs, adapter = cfg.validate()
     if Mode(cfg.mode) is Mode.FOURIER_SPACE:
         # modulate by (-1)^(x+y) so the object's spectrum is centered in
         # the scanned array: the pupil then scans around the zero
@@ -197,7 +200,7 @@ def build_problem(cfg: ExperimentConfig):
                                      cfg.oversampling)
     clean = noise.scale_to_budget(clean, cfg.photon_budget)
     mask = metrics.illumination_mask(probe, geometry)
-    return truth, probe, geometry, mask, clean, specs
+    return truth, probe, geometry, mask, clean, specs, adapter
 
 
 def realization_seed(master_seed: int, realization: int) -> int:
@@ -233,21 +236,17 @@ def _stack_cells(state, group):
             for k, r in enumerate(group)}
 
 
-def _reconstruct(cfg, spec, dataset, truth, mask, warm):
-    """Scheme `spec` on `dataset`: refined from the shared warmup `warm`,
-    or adapted from the constant start when the grid runs the adapter."""
+def _reconstruct(cfg, spec, adapter, dataset, truth, mask, warm):
+    """Scheme `spec` on `dataset`: refined from the shared warmup `warm`, or
+    adapted from the constant start with the grid's `adapter` settings."""
     if cfg.adapter:
-        adapter_cfg = engine.AdapterConfig(
-            mu_c=cfg.adapter_mu_c, inner_sweeps=cfg.adapter_inner_sweeps,
-            outer_rounds=cfg.adapter_outer_rounds,
-            inner_rule=spec.refinement_rule, inner_mu=spec.mu)
         # drop the adapted targets at once: held through the next
         # scheme's run they raise the peak memory by a pattern stack
-        return engine.adapt_constraints(dataset, adapter_cfg,
-                                        true_object=truth, mask=mask,
-                                        seed=cfg.master_seed)[0]
-    return engine.run_scheme(spec, dataset, true_object=truth, mask=mask,
-                             start=warm)
+        return engine.adapt_constraints(
+            dataset, replace(adapter, inner_rule=spec.refinement_rule,
+                             inner_mu=spec.mu),
+            true_object=truth, mask=mask, seed=cfg.master_seed)[0]
+    return engine.run_scheme(spec, dataset, start=warm)
 
 
 def usable_cpus() -> int:
@@ -258,7 +257,8 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_stack(cfg, specs, dataset, truth, mask, group, cells, pool):
+def _run_stack(cfg, specs, adapter, dataset, truth, mask, group, cells,
+               pool):
     """Every scheme on the stack of realizations `group`, from one shared
     warmup (none for the adapter); fills cells[(scheme, realization)] and
     returns the timings. With a thread `pool` the schemes run concurrently,
@@ -289,7 +289,8 @@ def _run_stack(cfg, specs, dataset, truth, mask, group, cells, pool):
             # no name holds the reconstructed state, so it is freed as soon
             # as its cells are made
             results = _stack_cells(
-                _reconstruct(cfg, spec, dataset, truth, mask, warm), group)
+                _reconstruct(cfg, spec, adapter, dataset, truth, mask, warm),
+                group)
         except engine.NUMERIC_FAILURES as exc:
             results = {r: _failed_cell(exc) for r in group}
         return results, time.perf_counter() - t0
@@ -311,7 +312,7 @@ def environment(cfg: ExperimentConfig, workers: int) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
-    truth, probe, geometry, mask, clean, specs = build_problem(cfg)
+    truth, probe, geometry, mask, clean, specs, adapter = build_problem(cfg)
     model = NoiseModel(cfg.noise_model)
     # all realizations as one stack at oversampling 1; at oversampling 5
     # batching 160x160 transforms gains nothing, and one stack would hold
@@ -344,8 +345,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         for group in groups:
             patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
             dataset = Dataset(geometry, cfg.oversampling, patterns, probe)
-            timings.append(_run_stack(cfg, specs, dataset, truth, mask,
-                                      group, cells, pool))
+            timings.append(_run_stack(cfg, specs, adapter, dataset, truth,
+                                      mask, group, cells, pool))
             # free this stack's patterns before the next one is drawn
             del patterns, dataset
     finally:

@@ -201,7 +201,8 @@ def test_criterion_7a_mu_zero_reproduces_baseline():
     dataset = Dataset(geom, 5, noisy, probe)
     cfg = AdapterConfig(mu_c=0.0, inner_sweeps=5, outer_rounds=4)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=7)
-    baseline = ReconstructionState.constant_init((64, 64), seed=7)
+    baseline = ReconstructionState(np.ones((64, 64), complex),
+                                   rng=np.random.default_rng(7))
     for _ in range(20):
         position_sweep(baseline, dataset, cfg.inner_rule, cfg.inner_mu)
     assert np.array_equal(state.object_estimate, baseline.object_estimate)

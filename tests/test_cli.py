@@ -123,6 +123,22 @@ def test_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bench_rejects_empty_output_dir(tmp_path, config_file, capsys,
+                                        monkeypatch):
+    # an empty override is applied, and an empty output_dir is rejected
+    # before any cell runs, from the command line or from the config
+    monkeypatch.chdir(tmp_path)
+    empty = tmp_path / "empty.cfg"
+    empty.write_text(CONFIG_TEXT + "output_dir =\n")
+    for argv in (["bench", config_file, "--output-dir", ""],
+                 ["bench", str(empty)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "scheme" not in captured.out
+        assert "ValueError" in captured.err and "output_dir" in captured.err
+    assert list(tmp_path.rglob("summary.csv")) == []
+
+
 def test_bad_config_key_fails(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")

@@ -359,7 +359,7 @@ def _two_realizations():
     realizations, as the harness builds it: scheme 3 diverges at sweep 22
     in realization 0 and at sweep 23 in realization 1."""
     cfg = ExperimentConfig(master_seed=4, realizations=2)
-    truth, probe, geometry, mask, clean, _ = build_problem(cfg)
+    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
     patterns = [pb.apply_noise(clean, pb.NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
                 for r in range(cfg.realizations)]
@@ -405,11 +405,11 @@ def test_unscorable_slice_fails_alone():
     # the ValueError a 2D run raises, and the other slice is still scored
     truth = random_field((8, 8), 15)
     with pytest.raises(ValueError, match="zero on the mask") as raised:
-        pb.ReconstructionState(np.zeros((8, 8), complex)).log_error(truth,
-                                                                    None)
+        pb.ReconstructionState(np.zeros((8, 8), complex),
+                               true_object=truth).log_error()
     state = pb.ReconstructionState(np.stack([np.zeros((8, 8), complex),
-                                             truth]))
-    state.log_error(truth, None)
+                                             truth]), true_object=truth)
+    state.log_error()
     assert list(state.failures) == [0]
     assert str(state.failures[0]) == str(raised.value)
     ((_, errors),) = state.error_log
@@ -418,18 +418,22 @@ def test_unscorable_slice_fails_alone():
 
 def test_refining_a_fork_leaves_the_warm_state_untouched():
     truth, dataset = toy_problem(seed=14)
-    warm = pb.warm_start(dataset, 3, true_object=truth, seed=2)
+    mask = pb.illumination_mask(dataset.probe, dataset.geometry)
+    warm = pb.warm_start(dataset, 3, true_object=truth, mask=mask, seed=2)
     before = (warm.object_estimate.copy(), list(warm.error_log),
               warm.iteration, warm.rng.bit_generator.state)
-    refined = run_scheme(scheme(9, 3, 4), dataset, true_object=truth,
-                         start=warm)
+    # the fork is scored against the truth and mask the start carries
+    refined = run_scheme(scheme(9, 3, 4), dataset, start=warm)
+    assert refined.true_object is warm.true_object is truth
+    assert refined.mask is warm.mask is mask
     assert refined.iteration == 7
     assert np.array_equal(warm.object_estimate, before[0])
     assert warm.error_log == before[1]
     assert warm.iteration == before[2]
     assert warm.rng.bit_generator.state == before[3]
     # the fork carries the warmup: the same as one run from scratch
-    whole = run_scheme(scheme(9, 3, 4), dataset, true_object=truth, seed=2)
+    whole = run_scheme(scheme(9, 3, 4), dataset, true_object=truth,
+                       mask=mask, seed=2)
     assert refined.error_log == whole.error_log
     assert np.array_equal(refined.object_estimate, whole.object_estimate)
 
@@ -444,8 +448,9 @@ def test_adapter_mu_zero_matches_baseline_trajectory():
     cfg = AdapterConfig(mu_c=0.0, inner_sweeps=3, outer_rounds=4)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=77)
 
-    baseline = ReconstructionState.constant_init(
-        dataset.geometry.object_dims, seed=77)
+    baseline = ReconstructionState(
+        np.ones(dataset.geometry.object_dims, complex),
+        rng=np.random.default_rng(77))
     for _ in range(12):
         position_sweep(baseline, dataset, cfg.inner_rule, cfg.inner_mu)
     assert np.array_equal(state.object_estimate, baseline.object_estimate)
@@ -482,8 +487,9 @@ def test_adapter_mixes_targets_in_place_bit_for_bit(stacked):
     cfg = AdapterConfig(mu_c=0.3, inner_sweeps=2, outer_rounds=3)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=4)
 
-    ref = ReconstructionState.constant_init(
-        noisy.shape[1:-2] + dataset.geometry.object_dims, seed=4)
+    ref = ReconstructionState(
+        np.ones(noisy.shape[1:-2] + dataset.geometry.object_dims, complex),
+        rng=np.random.default_rng(4))
     ref_m = noisy.copy()
     for _ in range(cfg.outer_rounds):
         targets = Dataset(dataset.geometry, 5, ref_m, dataset.probe)

@@ -65,6 +65,12 @@ def test_parse_config_rejects_misspelled_boolean():
         parse_config("adapter = ture")
 
 
+def test_parse_config_rejects_line_without_equals():
+    with pytest.raises(ValueError,
+                       match="line 2: expected 'key = value', got 'seed 3'"):
+        parse_config("realizations = 2\nseed 3")
+
+
 def test_parse_config_rejects_repeated_key():
     with pytest.raises(ValueError,
                        match="line 3: realizations repeats line 1"):
@@ -102,13 +108,16 @@ def test_config_validation():
     (dict(object_kind="portrait"), "object_kind"),
     (dict(probe_kind="airy"), "probe_kind"),
     (dict(master_seed=-1), "master_seed"),
+    (dict(realizations=0), "realizations must be >= 1"),
+    (dict(output_dir=""), "output_dir"),
 ], ids=["duplicate_schemes", "negative_warmup", "negative_refinement",
         "negative_jitter", "inner_sweeps_zero", "outer_rounds_zero",
         "window_too_large", "adapter_mu_c_above_one", "no_schemes",
         "nan_photon_budget", "infinite_photon_budget", "window_three_dims",
         "object_dims_zero", "probe_radius_too_large", "probe_radius_negative",
         "probe_radius_nan", "scan_step_zero", "jitter_half_step",
-        "unknown_object_kind", "unknown_probe_kind", "negative_master_seed"])
+        "unknown_object_kind", "unknown_probe_kind", "negative_master_seed",
+        "no_realizations", "empty_output_dir"])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_config(**overrides).validate()
@@ -122,9 +131,10 @@ def test_config_hash_stable():
 # --- experiment runs ------------------------------------------------------------
 
 def test_run_builds_its_pieces_once(monkeypatch):
-    calls = {"objects": 0, "schemes": []}
-    synthesize, scheme = (ptybench.forward.synthesize_object,
-                          ptybench.engine.scheme)
+    calls = {}
+    synthesize, scheme, adapter_config = (ptybench.forward.synthesize_object,
+                                          ptybench.engine.scheme,
+                                          ptybench.engine.AdapterConfig)
 
     def counted_synthesize(*args, **kwargs):
         calls["objects"] += 1
@@ -134,15 +144,26 @@ def test_run_builds_its_pieces_once(monkeypatch):
         calls["schemes"].append(sid)
         return scheme(sid, *args, **kwargs)
 
+    def counted_adapter(*args, **kwargs):
+        calls["adapters"] += 1
+        return adapter_config(*args, **kwargs)
+
     monkeypatch.setattr(ptybench.forward, "synthesize_object",
                         counted_synthesize)
     monkeypatch.setattr(ptybench.engine, "scheme", counted_scheme)
-    # at oversampling 5 each realization is a stack: a build per stack
-    # would show as a repeated scheme id
-    run_experiment(small_config(realizations=2, oversampling=5,
-                                warmup_iterations=1,
-                                refinement_iterations=1))
-    assert calls == {"objects": 1, "schemes": [1, 2]}
+    # validate() builds the adapter settings through the reference it took
+    # at import: a rebuild per scheme or per stack would show here
+    monkeypatch.setattr(ptybench.engine, "AdapterConfig", counted_adapter)
+    for adapter in (False, True):
+        calls.update(objects=0, schemes=[], adapters=0)
+        # at oversampling 5 each realization is a stack: a build per stack
+        # would show as a repeated scheme id
+        run_experiment(small_config(realizations=2, oversampling=5,
+                                    warmup_iterations=1,
+                                    refinement_iterations=1, adapter=adapter,
+                                    adapter_inner_sweeps=1,
+                                    adapter_outer_rounds=1))
+        assert calls == {"objects": 1, "schemes": [1, 2], "adapters": 0}
 
 
 def test_noise_free_realizations_identical():
@@ -170,7 +191,7 @@ def test_summary_statistics_self_consistent():
         assert summary["n"] == len(errors)
 
 
-def test_failure_isolation(monkeypatch):
+def test_failure_isolation(monkeypatch, tmp_path):
     calls = {"n": 0}
     original = ptybench.engine.run_scheme
 
@@ -189,6 +210,16 @@ def test_failure_isolation(monkeypatch):
             assert record.cells[(2, r)]["ok"] is False
             assert "synthetic divergence" in record.cells[(2, r)]["error"]
             assert record.cells[(1, r)]["ok"] is True  # siblings unaffected
+        # the failed scheme's summary row has no statistic and no sample
+        paths = export(record, str(tmp_path / str(oversampling)))
+        with open(paths["summary.csv"]) as f:
+            rows = {line.split(",")[0]: line.rstrip("\n").split(",")
+                    for line in f if line[0].isdigit()}
+        assert rows["2"][4:] == ["nan"] * 5 + ["0"]
+        assert rows["1"][-1] == "2"
+        loaded = load_record(paths["record.json"])
+        assert loaded.summaries == record.summaries
+        assert loaded.summaries[2] == {"failed": True}
 
 
 def test_warmup_failure_fails_every_cell(monkeypatch):
@@ -220,7 +251,7 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
     assert all(list(t["scheme_s"]) == ["2", "1"]
                for t in record.meta["timings"])
     # each one-slice stack gives the realization's own 2D run
-    truth, probe, geometry, mask, clean, _ = build_problem(cfg)
+    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
@@ -240,7 +271,7 @@ def test_adapter_grid_runs_all_realizations_as_one_stack():
     (stack,) = record.meta["timings"]
     assert stack["realizations"] == 2
     # each slice of the stack gives the realization's own 2D adapter run
-    truth, probe, geometry, mask, clean, _ = build_problem(cfg)
+    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))

@@ -1,0 +1,66 @@
+"""The names and argument positions the benchmark's span tracer
+(`perfbench/spans.py`) relies on: it wraps ptybench functions by module
+attribute and reads some of their arguments by position, so a refactor
+that moves them would make the traced counters silently wrong."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+import numpy as np
+import pytest
+
+import ptybench as pb
+from ptybench import engine, grids
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                     "perfbench", "spans.py")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_every_wrapped_name_is_a_function(spans):
+    targets = [t for group in spans.WRAPPED.values() for t in group]
+    assert targets
+    for module_name, attr in targets:
+        fn = getattr(importlib.import_module(module_name), attr, None)
+        assert inspect.isfunction(fn), f"{module_name}.{attr}"
+
+
+def test_arguments_the_tracer_reads_by_position():
+    # _count_sweep reads the dataset and the rule; _count_fft the input
+    assert _parameters(engine.position_sweep)[:4] == [
+        "state", "dataset", "rule", "mu"]
+    for fn in (grids.dft2, grids.idft2):
+        assert _parameters(fn)[0] == "field"
+
+
+def test_warmup_sweeps_pass_the_warmup_rule(monkeypatch):
+    # warmup sweeps are counted by the identity of their rule
+    rules = []
+    sweep = engine.position_sweep
+
+    def recording(state, dataset, rule, mu):
+        rules.append(rule)
+        return sweep(state, dataset, rule, mu)
+
+    monkeypatch.setattr(engine, "position_sweep", recording)
+    probe = pb.make_probe("tophat", 3, (8, 8))
+    geometry = pb.raster_positions((16, 16), (8, 8), step=8, jitter=0)
+    patterns = pb.simulate_dataset(np.ones((16, 16), complex), probe,
+                                   geometry, pb.Mode.REAL_SPACE, 1)
+    dataset = pb.Dataset(geometry, 1, patterns, probe)
+    pb.run_scheme(pb.scheme(9, 2, 1), dataset)
+    assert [rule is engine.WARMUP_RULE for rule in rules] == [
+        True, True, False]
