@@ -17,6 +17,7 @@ and 1 when every cell failed.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -32,7 +33,6 @@ def _save_dataset(path, cfg, dataset, truth):
         positions=np.asarray(dataset.geometry.positions),
         window=np.asarray(dataset.geometry.window),
         object_dims=np.asarray(dataset.geometry.object_dims),
-        oversampling=dataset.oversampling,
         patterns=dataset.patterns,
         probe=dataset.probe,
         truth=truth,
@@ -46,8 +46,7 @@ def _load_dataset(path):
             tuple((int(r), int(c)) for r, c in data["positions"]),
             tuple(int(v) for v in data["window"]),
             tuple(int(v) for v in data["object_dims"]))
-        dataset = Dataset(geometry, int(data["oversampling"]),
-                          data["patterns"], data["probe"])
+        dataset = Dataset(geometry, data["patterns"], data["probe"])
         truth = data["truth"]
     return dataset, truth
 
@@ -69,7 +68,7 @@ def _cmd_simulate(args):
     model = NoiseModel(cfg.noise_model)
     seed = harness.realization_seed(cfg.master_seed, args.realization)
     patterns = noise.apply_noise(clean, model, seed)
-    dataset = Dataset(geometry, cfg.oversampling, patterns, probe)
+    dataset = Dataset(geometry, patterns, probe)
     _save_dataset(args.output, dataclasses.asdict(cfg), dataset, truth)
     print(f"wrote {args.output}: {len(patterns)} patterns of "
           f"{patterns.shape[1]}x{patterns.shape[2]}, "
@@ -97,6 +96,10 @@ def _cmd_bench(args):
     cfg = _read_config(args.config)
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
+    # make the output directory before the grid runs, so a path that cannot
+    # be one fails at once; an empty one is refused by validate()
+    if cfg.output_dir:
+        os.makedirs(cfg.output_dir, exist_ok=True)
     record = harness.run_experiment(cfg)
     paths = harness.export(record, cfg.output_dir)
     for sid in sorted(record.summaries):

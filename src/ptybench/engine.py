@@ -204,9 +204,10 @@ def position_sweep(state: ReconstructionState, dataset: Dataset,
     positions = dataset.geometry.positions
     obj = state.object_estimate
     wh, ww = dataset.probe.shape
+    s = dataset.oversampling
     for j in state.rng.permutation(len(positions)):
         g = exit_wave(obj, dataset.probe, positions[j])
-        G = far_field(g, dataset.oversampling)
+        G = far_field(g, s)
         r, c = positions[j]
         rule.update(obj[..., r:r + wh, c:c + ww], g, G, dataset.patterns[j],
                     dataset.probe, mu)
@@ -220,11 +221,11 @@ def global_gradient_step(state: ReconstructionState, dataset: Dataset,
     contributions before touching the object."""
     obj = state.object_estimate
     wh, ww = dataset.probe.shape
+    s = dataset.oversampling
     rule = GradientDescent(functional)
     accum = np.zeros_like(obj)
     for pos, pattern in zip(dataset.geometry.positions, dataset.patterns):
-        G = far_field(exit_wave(obj, dataset.probe, pos),
-                      dataset.oversampling)
+        G = far_field(exit_wave(obj, dataset.probe, pos), s)
         r, c = pos
         accum[..., r:r + wh, c:c + ww] += rule.step(G, pattern, dataset.probe,
                                                     1.0)

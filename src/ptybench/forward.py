@@ -5,7 +5,9 @@ the object directly. Fourier-space mode is implemented through the duality
 with real-space mode: the same pipeline is applied to the Fourier transform
 of the object, with the probe acting as the pupil aperture. The mode is
 settled once, when the problem is built: from then on the effective object
-is scanned as real space, and a `Dataset` carries no mode.
+is scanned as real space, and a `Dataset` carries no mode. Nor does it
+store its oversampling factor: the patterns are s times the scan window
+per axis, and `Dataset.oversampling` reads s from the arrays.
 """
 
 from dataclasses import dataclass
@@ -44,24 +46,39 @@ class ScanGeometry:
 class Dataset:
     """A stack of measured diffraction intensities plus its geometry.
 
-    patterns has shape (n_positions, s*wh, s*ww) with s the oversampling
-    factor; a batch of datasets that share the geometry and probe, such as
-    several noise realizations, has shape (n_positions, R, s*wh, s*ww), so
-    patterns[j] is the stack of the R patterns at position j. probe is the
-    window-sized complex illumination. A dataset carries no mode: it holds
-    the patterns of the effective object, scanned as real space.
+    patterns has shape (n_positions, s*wh, s*ww), with (wh, ww) the scan
+    window and s the oversampling factor; a batch of datasets that share
+    the geometry and probe, such as several noise realizations, has shape
+    (n_positions, R, s*wh, s*ww), so patterns[j] is the stack of the R
+    patterns at position j. probe is the window-sized complex illumination.
+    The factor s is read from the arrays, not stored; a dataset also carries
+    no mode: it holds the patterns of the effective object, scanned as real
+    space.
     """
 
     geometry: ScanGeometry
-    oversampling: int
     patterns: np.ndarray
     probe: np.ndarray
 
     def __post_init__(self):
         if len(self.patterns) != len(self.geometry.positions):
             raise ValueError("one pattern per scan position required")
+        wh, ww = self.geometry.window
+        if self.probe.shape != (wh, ww):
+            raise ValueError(f"probe shape {self.probe.shape} does not match "
+                             f"the scan window {(wh, ww)}")
+        s = self.oversampling
+        if s < 1 or self.patterns.shape[-2:] != (s * wh, s * ww):
+            raise ValueError(f"pattern shape {self.patterns.shape[-2:]} is "
+                             f"not s times the scan window {(wh, ww)} for "
+                             f"one integer s >= 1")
         if np.any(self.patterns < 0):
             raise ValueError("intensity patterns must be nonnegative")
+
+    @property
+    def oversampling(self) -> int:
+        """The factor s of the s*wh x s*ww patterns."""
+        return self.patterns.shape[-1] // self.probe.shape[-1]
 
 
 def make_probe(kind: str, radius: float, window: tuple) -> np.ndarray:

@@ -48,8 +48,6 @@ def zero_pad_center(field: np.ndarray, factor: int) -> np.ndarray:
     """
     if factor < 1:
         raise ValueError(f"padding factor must be >= 1, got {factor}")
-    if factor == 1:
-        return field.copy()
     *lead, h, w = field.shape
     out = np.zeros((*lead, factor * h, factor * w), dtype=field.dtype)
     r0 = center_offset(factor * h, h)

@@ -58,9 +58,8 @@ class ExperimentConfig:
 
     def validate(self):
         """Check the rules nothing else owns, then build with each owner.
-        Returns [geometry, probe, object, scheme specs, adapter settings]."""
-        Mode(self.mode)
-        NoiseModel(self.noise_model)
+        Returns [mode, noise model, geometry, probe, object, scheme specs,
+        adapter settings]."""
         if self.oversampling not in (1, 5):
             raise ValueError(f"oversampling must be 1 or 5, "
                              f"got {self.oversampling}")
@@ -100,6 +99,8 @@ class ExperimentConfig:
 # the config keys each constructor reads, in its argument order: the
 # constructor owns their rules
 _OWNERS = (
+    (("mode",), Mode),
+    (("noise_model",), NoiseModel),
     (("object_dims", "window", "scan_step", "scan_jitter", "master_seed"),
      forward.raster_positions),
     (("probe_kind", "probe_radius", "window"), forward.make_probe),
@@ -187,8 +188,8 @@ def build_problem(cfg: ExperimentConfig):
     """Validate a config and build its inputs. Returns (effective truth,
     probe, geometry, mask, noise-free stack, scheme specs, adapter settings)
     with everything `validate()` built."""
-    geometry, probe, truth, specs, adapter = cfg.validate()
-    if Mode(cfg.mode) is Mode.FOURIER_SPACE:
+    mode, _, geometry, probe, truth, specs, adapter = cfg.validate()
+    if mode is Mode.FOURIER_SPACE:
         # modulate by (-1)^(x+y) so the object's spectrum is centered in
         # the scanned array: the pupil then scans around the zero
         # frequency, as in a physical Fourier-ptychography setup
@@ -344,7 +345,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     try:
         for group in groups:
             patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
-            dataset = Dataset(geometry, cfg.oversampling, patterns, probe)
+            dataset = Dataset(geometry, patterns, probe)
             timings.append(_run_stack(cfg, specs, adapter, dataset, truth,
                                       mask, group, cells, pool))
             # free this stack's patterns before the next one is drawn

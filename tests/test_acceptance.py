@@ -92,7 +92,7 @@ def test_criterion_3_noise_free_convergence():
     overlap = (32 - 8) / 32
     assert overlap >= 0.6
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
-    dataset = Dataset(geom, 1, clean, probe)
+    dataset = Dataset(geom, clean, probe)
     mask = illumination_mask(probe, geom)
     state = run_scheme(scheme(1, 100, 200), dataset, true_object=obj,
                        mask=mask, seed=0)
@@ -136,7 +136,7 @@ def test_criterion_5_endpoint_identities():
     geom = pb.raster_positions((32, 32), (16, 16), step=8, jitter=0)
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
     noisy = sample_poisson(clean * 100, seed=5)
-    dataset = Dataset(geom, 1, noisy, probe)
+    dataset = Dataset(geom, noisy, probe)
     rng = np.random.default_rng(5)
     init = random_field((32, 32), rng)
 
@@ -198,7 +198,7 @@ def test_criterion_7a_mu_zero_reproduces_baseline():
     t0 = time.time()
     obj, probe, geom, clean, _ = _adapter_problem(7, 5, 1e4)
     noisy = sample_poisson(clean, seed=7)
-    dataset = Dataset(geom, 5, noisy, probe)
+    dataset = Dataset(geom, noisy, probe)
     cfg = AdapterConfig(mu_c=0.0, inner_sweeps=5, outer_rounds=4)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=7)
     baseline = ReconstructionState(np.ones((64, 64), complex),
@@ -213,7 +213,7 @@ def test_criterion_7a_mu_zero_reproduces_baseline():
 def test_criterion_7b_noise_free_perfect_init_keeps_targets():
     t0 = time.time()
     obj, probe, geom, clean, _ = _adapter_problem(7, 5, 1e4)
-    dataset = Dataset(geom, 5, clean, probe)
+    dataset = Dataset(geom, clean, probe)
     # photon-budget scaling multiplies the patterns by s, so the matching
     # perfect init carries a sqrt(s) amplitude factor
     raw = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 5)
@@ -234,7 +234,7 @@ def test_criterion_7c_adapter_not_worse_when_oversampled():
 
     def final_errors(r):
         noisy = sample_poisson(clean, seed=700 + r)
-        dataset = Dataset(geom, 5, noisy, probe)
+        dataset = Dataset(geom, noisy, probe)
         state, _ = adapt_constraints(dataset, cfg, true_object=obj,
                                      mask=mask, seed=r)
         base = run_scheme(pb.SchemeSpec(1, cfg.inner_rule, cfg.inner_mu,

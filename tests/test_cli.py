@@ -77,6 +77,29 @@ def test_reconstruct_reads_a_dataset_with_a_mode_key(tmp_path, config_file,
     assert "final masked error" in capsys.readouterr().out
 
 
+def test_dataset_file_keeps_oversampling_only_in_config(tmp_path,
+                                                       config_file, capsys):
+    data = tmp_path / "data.npz"
+    main(["simulate", config_file, str(data)])
+    with np.load(data) as stored:
+        assert "oversampling" not in stored.files
+        assert json.loads(str(stored["config"]))["oversampling"] == 1
+        arrays = dict(stored)
+    # an older file with the key still loads, and the key is ignored
+    legacy = tmp_path / "legacy.npz"
+    np.savez_compressed(legacy, **arrays, oversampling=1)
+    assert main(["reconstruct", str(legacy), "--scheme", "1",
+                 "--warmup", "10", "--refinement", "0"]) == 0
+    assert "final masked error" in capsys.readouterr().out
+    # patterns that do not fit the probe are refused when the file loads
+    corrupt = tmp_path / "corrupt.npz"
+    np.savez_compressed(corrupt, **{**arrays,
+                                    "patterns": arrays["patterns"][..., :8]})
+    assert main(["reconstruct", str(corrupt), "--scheme", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: ValueError: pattern shape (16, 8)")
+
+
 def test_reconstruct_rejects_negative_sweep_counts(tmp_path, config_file,
                                                   capsys):
     data = tmp_path / "data.npz"
@@ -137,6 +160,21 @@ def test_bench_rejects_empty_output_dir(tmp_path, config_file, capsys,
         assert "scheme" not in captured.out
         assert "ValueError" in captured.err and "output_dir" in captured.err
     assert list(tmp_path.rglob("summary.csv")) == []
+
+
+def test_bench_fails_before_the_grid_when_output_dir_cannot_be_made(
+        tmp_path, config_file, capsys, monkeypatch):
+    # main reports any exception, so record the call rather than raise
+    ran = []
+    monkeypatch.setattr("ptybench.harness.run_experiment", ran.append)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["bench", config_file, "--output-dir",
+                 str(blocker / "sub")]) == 1
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_bad_config_key_fails(tmp_path, capsys):

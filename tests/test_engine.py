@@ -28,7 +28,7 @@ def toy_problem(seed=0, mode=Mode.REAL_SPACE, oversampling=1,
                                step=step, jitter=0)
     clean = simulate_dataset(obj, probe, geom, mode, oversampling)
     truth = obj if mode is Mode.REAL_SPACE else dft2(obj)
-    dataset = Dataset(geom, oversampling, clean, probe)
+    dataset = Dataset(geom, clean, probe)
     return truth, dataset
 
 
@@ -268,7 +268,7 @@ def test_global_step_single_position_equals_sweep():
     probe = pb.make_probe("gaussian", 4, (16, 16))
     geom = pb.ScanGeometry(((0, 0),), (16, 16), (16, 16))
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
-    dataset = Dataset(geom, 1, clean * 1.3, probe)
+    dataset = Dataset(geom, clean * 1.3, probe)
     fn = functional_by_name("anscombe")
     init = random_field((16, 16), 12)
     a = ReconstructionState(object_estimate=init.copy(),
@@ -293,7 +293,7 @@ def test_global_step_accumulates_windowed_contributions():
     probe = pb.make_probe("tophat", 5, (16, 16))
     geom = pb.ScanGeometry(((0, 0), (8, 0)), (16, 16), (24, 16))
     clean = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
-    dataset = Dataset(geom, 1, clean * 2.0, probe)
+    dataset = Dataset(geom, clean * 2.0, probe)
     fn = functional_by_name("sqrt")
     init = random_field((24, 16), 13)
 
@@ -363,10 +363,8 @@ def _two_realizations():
     patterns = [pb.apply_noise(clean, pb.NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
                 for r in range(cfg.realizations)]
-    singles = [Dataset(geometry, 1, p, probe)
-               for p in patterns]
-    batched = Dataset(geometry, 1,
-                      np.stack(patterns, axis=1), probe)
+    singles = [Dataset(geometry, p, probe) for p in patterns]
+    batched = Dataset(geometry, np.stack(patterns, axis=1), probe)
     return truth, mask, singles, batched
 
 
@@ -443,8 +441,7 @@ def test_refining_a_fork_leaves_the_warm_state_untouched():
 def test_adapter_mu_zero_matches_baseline_trajectory():
     truth, dataset = toy_problem(seed=10)
     noisy = pb.sample_poisson(dataset.patterns * 50, seed=5)
-    dataset = Dataset(dataset.geometry, dataset.oversampling,
-                      noisy, dataset.probe)
+    dataset = Dataset(dataset.geometry, noisy, dataset.probe)
     cfg = AdapterConfig(mu_c=0.0, inner_sweeps=3, outer_rounds=4)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=77)
 
@@ -468,8 +465,7 @@ def test_adapter_noise_free_perfect_init_keeps_targets():
 def test_adapter_targets_stay_nonnegative():
     truth, dataset = toy_problem(seed=12)
     noisy = pb.sample_speckle(dataset.patterns * 20, seed=6)
-    dataset = Dataset(dataset.geometry, dataset.oversampling,
-                      noisy, dataset.probe)
+    dataset = Dataset(dataset.geometry, noisy, dataset.probe)
     cfg = AdapterConfig(mu_c=0.3, inner_sweeps=2, outer_rounds=6)
     _, m_tilde = adapt_constraints(dataset, cfg, seed=1)
     assert np.all(m_tilde >= 0)
@@ -483,7 +479,7 @@ def test_adapter_mixes_targets_in_place_bit_for_bit(stacked):
                       for k in range(2)], axis=1)
     if not stacked:
         noisy = noisy[:, 0]
-    dataset = Dataset(dataset.geometry, 5, noisy, dataset.probe)
+    dataset = Dataset(dataset.geometry, noisy, dataset.probe)
     cfg = AdapterConfig(mu_c=0.3, inner_sweeps=2, outer_rounds=3)
     state, m_tilde = adapt_constraints(dataset, cfg, seed=4)
 
@@ -492,7 +488,7 @@ def test_adapter_mixes_targets_in_place_bit_for_bit(stacked):
         rng=np.random.default_rng(4))
     ref_m = noisy.copy()
     for _ in range(cfg.outer_rounds):
-        targets = Dataset(dataset.geometry, 5, ref_m, dataset.probe)
+        targets = Dataset(dataset.geometry, ref_m, dataset.probe)
         for _ in range(cfg.inner_sweeps):
             position_sweep(ref, targets, cfg.inner_rule, cfg.inner_mu)
         z0 = simulate_dataset(ref.object_estimate, dataset.probe,
@@ -510,9 +506,8 @@ def test_adapter_stops_once_every_slice_has_failed():
     with pytest.raises(ArithmeticError, match="diverged at sweep 1"):
         adapt_constraints(dataset, cfg, init_object=diverged,
                           true_object=truth)
-    batched = Dataset(dataset.geometry, dataset.oversampling,
-                      np.stack([dataset.patterns] * 2, axis=1),
-                      dataset.probe)
+    batched = Dataset(dataset.geometry,
+                      np.stack([dataset.patterns] * 2, axis=1), dataset.probe)
     state, _ = adapt_constraints(batched, cfg, init_object=diverged,
                                  true_object=truth)
     assert {k: str(e) for k, e in state.failures.items()} == {

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ptybench import (Mode, ScanGeometry, back_project, crop_center, dft2,
-                      diffract, exit_wave, far_field, idft2, make_probe,
+from ptybench import (Dataset, Mode, ScanGeometry, back_project, crop_center,
+                      dft2, diffract, exit_wave, far_field, idft2, make_probe,
                       raster_positions, simulate_dataset, synthesize_object,
                       zero_pad_center)
 
@@ -254,6 +254,28 @@ def test_object_stack_gives_batched_patterns(mode, oversampling):
     for k, obj in enumerate(objs):
         assert np.array_equal(stack[:, k], simulate_dataset(
             obj, probe, geom, mode, oversampling))
+
+
+def test_dataset_reads_its_oversampling_and_refuses_misfit_shapes():
+    obj = random_object((32, 32), 8)
+    probe = make_probe("tophat", 6, (16, 16))
+    geom = raster_positions((32, 32), (16, 16), step=8, jitter=0)
+    n = len(geom.positions)
+    for s in (1, 5):
+        for o in (obj, np.stack([obj, obj])):
+            patterns = simulate_dataset(o, probe, geom, Mode.REAL_SPACE, s)
+            assert Dataset(geom, patterns, probe).oversampling == s
+    patterns = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, 1)
+    with pytest.raises(ValueError, match=r"probe shape \(8, 8\) .* "
+                                         r"window \(16, 16\)"):
+        Dataset(geom, patterns, make_probe("tophat", 3, (8, 8)))
+    for shape in ((24, 24), (80, 16), (8, 8)):
+        with pytest.raises(ValueError, match=rf"pattern shape \({shape[0]}, "
+                                             rf"{shape[1]}\) .* window "
+                                             r"\(16, 16\)"):
+            Dataset(geom, np.zeros((n,) + shape), probe)
+    with pytest.raises(AttributeError):
+        Dataset(geom, patterns, probe).oversampling = 5
 
 
 def test_constant_object_gives_identical_patterns():

@@ -110,6 +110,8 @@ def test_config_validation():
     (dict(master_seed=-1), "master_seed"),
     (dict(realizations=0), "realizations must be >= 1"),
     (dict(output_dir=""), "output_dir"),
+    (dict(mode="fourier"), "^mode: "),
+    (dict(noise_model="gaussian"), "^noise_model: "),
 ], ids=["duplicate_schemes", "negative_warmup", "negative_refinement",
         "negative_jitter", "inner_sweeps_zero", "outer_rounds_zero",
         "window_too_large", "adapter_mu_c_above_one", "no_schemes",
@@ -117,7 +119,8 @@ def test_config_validation():
         "object_dims_zero", "probe_radius_too_large", "probe_radius_negative",
         "probe_radius_nan", "scan_step_zero", "jitter_half_step",
         "unknown_object_kind", "unknown_probe_kind", "negative_master_seed",
-        "no_realizations", "empty_output_dir"])
+        "no_realizations", "empty_output_dir", "unknown_mode",
+        "unknown_noise_model"])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_config(**overrides).validate()
@@ -258,7 +261,7 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
         for sid in cfg.scheme_ids:
             single = ptybench.engine.run_scheme(
                 ptybench.engine.scheme(sid, 2, 2),
-                Dataset(geometry, 5, patterns, probe),
+                Dataset(geometry, patterns, probe),
                 true_object=truth, mask=mask, seed=cfg.master_seed)
             assert record.cells[(sid, r)]["curve"] == [
                 (i, float(e)) for i, e in single.error_log]
@@ -275,7 +278,7 @@ def test_adapter_grid_runs_all_realizations_as_one_stack():
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
-        dataset = Dataset(geometry, 1, patterns, probe)
+        dataset = Dataset(geometry, patterns, probe)
         for sid in cfg.scheme_ids:
             adapter_cfg = ptybench.engine.AdapterConfig(
                 mu_c=cfg.adapter_mu_c, inner_sweeps=2, outer_rounds=3,

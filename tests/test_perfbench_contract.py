@@ -46,6 +46,15 @@ def test_arguments_the_tracer_reads_by_position():
         assert _parameters(fn)[0] == "field"
 
 
+def _toy_dataset():
+    """Four positions of an 8x8 probe on a 16x16 object."""
+    probe = pb.make_probe("tophat", 3, (8, 8))
+    geometry = pb.raster_positions((16, 16), (8, 8), step=8, jitter=0)
+    patterns = pb.simulate_dataset(np.ones((16, 16), complex), probe,
+                                   geometry, pb.Mode.REAL_SPACE, 1)
+    return pb.Dataset(geometry, patterns, probe)
+
+
 def test_warmup_sweeps_pass_the_warmup_rule(monkeypatch):
     # warmup sweeps are counted by the identity of their rule
     rules = []
@@ -56,11 +65,25 @@ def test_warmup_sweeps_pass_the_warmup_rule(monkeypatch):
         return sweep(state, dataset, rule, mu)
 
     monkeypatch.setattr(engine, "position_sweep", recording)
-    probe = pb.make_probe("tophat", 3, (8, 8))
-    geometry = pb.raster_positions((16, 16), (8, 8), step=8, jitter=0)
-    patterns = pb.simulate_dataset(np.ones((16, 16), complex), probe,
-                                   geometry, pb.Mode.REAL_SPACE, 1)
-    dataset = pb.Dataset(geometry, 1, patterns, probe)
+    dataset = _toy_dataset()
     pb.run_scheme(pb.scheme(9, 2, 1), dataset)
     assert [rule is engine.WARMUP_RULE for rule in rules] == [
         True, True, False]
+
+
+def test_tracer_counts_the_work_of_a_real_run(spans):
+    # a refactor that bypasses a wrapped name changes these counts
+    dataset = _toy_dataset()
+    n = len(dataset.geometry.positions)
+    assert n == 4
+    tracer = spans.Tracer()
+    tracer.begin_grid()
+    tracer.install()
+    try:
+        pb.run_scheme(pb.scheme(9, 2, 1), dataset)
+    finally:
+        tracer.uninstall()
+    counts = tracer.end_grid()
+    assert (counts["engine.sweeps"], counts["engine.warmup_sweeps"],
+            counts["engine.position_updates"], counts["grids.fft_calls"]) == (
+        3, 2, 3 * n, 6 * n)
