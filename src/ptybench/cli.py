@@ -61,8 +61,18 @@ def _check_non_negative(flag, value):
         raise ValueError(f"{flag} must be >= 0, got {value}")
 
 
+def _check_output_dir(flag, path):
+    """Refuse an output file whose directory does not exist before any work
+    is done, so a run that fails writes nothing. No file is made here."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{flag}: no directory {directory!r} to "
+                                f"write {path!r} in")
+
+
 def _cmd_simulate(args):
     _check_non_negative("--realization", args.realization)
+    _check_output_dir("output", args.output)
     cfg = _read_config(args.config)
     truth, probe, geometry, _, clean, _, _ = harness.build_problem(cfg)
     model = NoiseModel(cfg.noise_model)
@@ -77,6 +87,8 @@ def _cmd_simulate(args):
 
 def _cmd_reconstruct(args):
     _check_non_negative("--seed", args.seed)
+    if args.output:
+        _check_output_dir("--output", args.output)
     dataset, truth = _load_dataset(args.dataset)
     mask = metrics.illumination_mask(dataset.probe, dataset.geometry)
     spec = engine.scheme(args.scheme, args.warmup, args.refinement)

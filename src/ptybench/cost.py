@@ -23,17 +23,31 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Transform:
-    """A monotone intensity transform with derivative and inverse; as a
-    cost functional it is the variance-stabilized sum (T(z) - T(y))^2.
+    """A monotone intensity transform T with its inverse; as a cost
+    functional it is the variance-stabilized sum (T(z) - T(y))^2.
 
-    fwd_deriv(z) gives (fwd(z), deriv(z)) bit for bit, sharing the work
-    the two have in common (a shifted square root or a shifted sum)."""
+    fwd_deriv(z) is the one definition of the derivative T': it gives
+    (fwd(z), T'(z)) bit for bit, sharing the work the two have in common
+    (a shifted square root or a shifted sum)."""
 
     name: str
     fwd: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
     fwd_deriv: Callable[[np.ndarray], tuple]
+
+    def deriv(self, z: np.ndarray) -> np.ndarray:
+        """T'(z)."""
+        return self.fwd_deriv(z)[1]
+
+    def mix(self, a: np.ndarray, b: np.ndarray, mu: float) -> np.ndarray:
+        """The convex combination of a and b taken in the transformed
+        domain, T^-1((1 - mu) T(a) + mu T(b))."""
+        # summed in place, one temporary fewer: the caller holds `a` through
+        # the call, which at oversampling 5 would otherwise raise the peak
+        # memory
+        v = (1.0 - mu) * self.fwd(a)
+        v += mu * self.fwd(b)
+        return self.inv(v)
 
     def cost(self, z: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum((self.fwd(z) - self.fwd(y)) ** 2))
@@ -56,27 +70,25 @@ def _power_transform(alpha: float) -> Transform:
     def fwd(z):
         return np.power(z, alpha)
 
-    def deriv(z):
-        return alpha * np.power(z, alpha - 1)
-
     return Transform(
         name=f"pow_{alpha}",
         fwd=fwd,
-        deriv=deriv,
         inv=lambda v: np.power(np.maximum(v, 0.0), 1.0 / alpha),
-        fwd_deriv=lambda z: (fwd(z), deriv(z)),
+        fwd_deriv=lambda z: (fwd(z), alpha * np.power(z, alpha - 1)),
     )
 
 
 def _shifted_sqrt(name: str, shift: float) -> Transform:
+    def fwd(z):
+        return np.sqrt(z + shift)
+
     def fwd_deriv(z):
-        r = np.sqrt(z + shift)
+        r = fwd(z)
         return r, 0.5 / r
 
     return Transform(
         name=name,
-        fwd=lambda z: np.sqrt(z + shift),
-        deriv=lambda z: 0.5 / np.sqrt(z + shift),
+        fwd=fwd,
         inv=lambda v: np.maximum(v, 0.0) ** 2 - shift,
         fwd_deriv=fwd_deriv,
     )
@@ -90,7 +102,6 @@ def _shifted_log(name: str, shift: float) -> Transform:
     return Transform(
         name=name,
         fwd=lambda z: np.log(z + shift),
-        deriv=lambda z: 1.0 / (z + shift),
         inv=lambda v: np.exp(v) - shift,
         fwd_deriv=fwd_deriv,
     )
@@ -100,11 +111,8 @@ def _identity() -> Transform:
     def fwd(z):
         return np.asarray(z, dtype=float)
 
-    def deriv(z):
-        return np.ones_like(fwd(z))
-
-    return Transform("identity", fwd, deriv, fwd,
-                     lambda z: (fwd(z), deriv(z)))
+    return Transform("identity", fwd, fwd,
+                     lambda z: (fwd(z), np.ones_like(fwd(z))))
 
 
 TRANSFORMS = {

@@ -83,9 +83,8 @@ class FourierMix:
     def update(self, window, g, G, pattern, probe, mu):
         if mu == 0.0:
             return
-        t = self.transform
         mod = np.abs(G)
-        mixed = t.inv((1.0 - mu) * t.fwd(mod ** 2) + mu * t.fwd(pattern))
+        mixed = self.transform.mix(mod ** 2, pattern, mu)
         G_new = np.sqrt(np.maximum(mixed, 0.0)) * _unit_phase(G, mod)
         g_new = back_project(G_new, probe.shape)
         window += np.conj(probe) * (g_new - g)
@@ -104,12 +103,11 @@ class ObjectMix:
     def update(self, window, g, G, pattern, probe, mu):
         if mu == 0.0:
             return
-        t = self.transform
         g_prime = back_project(modulus_substitute(G, np.sqrt(pattern)),
                                probe.shape)
         window_prime = window + np.conj(probe) * (g_prime - g)
         amp, amp_prime = np.abs(window), np.abs(window_prime)
-        mod = t.inv((1.0 - mu) * t.fwd(amp) + mu * t.fwd(amp_prime))
+        mod = self.transform.mix(amp, amp_prime, mu)
         phase = _unit_phase((1.0 - mu) * _unit_phase(window, amp)
                             + mu * _unit_phase(window_prime, amp_prime))
         window[:] = np.maximum(mod, 0.0) * phase
@@ -315,26 +313,26 @@ def warm_start(dataset: Dataset, warmup_iterations: int,
     return _sweeps(state, dataset, WARMUP_RULE, 1.0, warmup_iterations)
 
 
+def refine(spec: SchemeSpec, dataset: Dataset,
+           state: ReconstructionState) -> ReconstructionState:
+    """The refinement sweeps of scheme `spec` on `state`, each followed by
+    its error. Mutates and returns `state`: pass a fork of a shared warmup
+    to keep the warmup."""
+    return _sweeps(state, dataset, spec.refinement_rule, spec.mu,
+                   spec.refinement_iterations)
+
+
 def run_scheme(spec: SchemeSpec, dataset: Dataset,
                init_object: Optional[np.ndarray] = None,
                true_object: Optional[np.ndarray] = None,
                mask: Optional[np.ndarray] = None,
-               seed: int = 0,
-               start: Optional[ReconstructionState] = None
-               ) -> ReconstructionState:
+               seed: int = 0) -> ReconstructionState:
     """Run one benchmark scheme: warmup sweeps of Error Reduction
     (amplitude cost, mu = 1), then refinement sweeps with the scheme's rule.
-
-    Logs the masked error once per sweep when a ground truth is given.
-    With `start`, a warmed state from `warm_start`, it refines a fork scored
-    against the start's truth and leaves the start unchanged; `init_object`,
-    `true_object`, `mask`, `seed` and `spec.warmup_iterations` are spent.
-    """
-    state = (start.fork() if start is not None else
-             warm_start(dataset, spec.warmup_iterations, init_object,
-                        true_object, mask, seed))
-    return _sweeps(state, dataset, spec.refinement_rule, spec.mu,
-                   spec.refinement_iterations)
+    Logs the masked error once per sweep when a ground truth is given."""
+    return refine(spec, dataset,
+                  warm_start(dataset, spec.warmup_iterations, init_object,
+                             true_object, mask, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,7 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
     The mix runs in place, one position at a time, so no whole predicted
     stack is held; each element is the same fl(fl(a m~) + fl(b z0)). On an
     object stack the rounds stop once every slice has failed, as the sweeps
-    of `run_scheme` do. Returns (final state, final m~ stack).
+    of `refine` do. Returns (final state, final m~ stack).
     """
     state = _start_state(dataset, init_object, seed, true_object, mask)
     m_tilde = dataset.patterns.astype(float, copy=True)

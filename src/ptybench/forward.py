@@ -3,7 +3,11 @@
 Two ptychography modes are supported. In real-space mode the probe scans
 the object directly. Fourier-space mode is implemented through the duality
 with real-space mode: the same pipeline is applied to the Fourier transform
-of the object, with the probe acting as the pupil aperture. The mode is
+of the object, with the probe acting as the pupil aperture.
+`effective_object` gives the scanned array: the object, or its unitary
+spectrum dft2(obj) with the zero frequency at pixel (0, 0). The benchmark's
+`harness.build_problem` modulates the object by (-1)^(x+y) first, so the
+spectrum it scans has the zero frequency at the array centre. The mode is
 settled once, when the problem is built: from then on the effective object
 is scanned as real space, and a `Dataset` carries no mode. Nor does it
 store its oversampling factor: the patterns are s times the scan window
@@ -211,6 +215,12 @@ def diffract(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
     return np.abs(far_field(exit_field, oversampling)) ** 2
 
 
+def effective_object(obj: np.ndarray, mode: Mode) -> np.ndarray:
+    """The array the probe scans in `mode`: `obj` in real space, its
+    uncentered unitary spectrum dft2(obj) in Fourier space."""
+    return obj if mode is Mode.REAL_SPACE else dft2(obj)
+
+
 def simulate_dataset(obj: np.ndarray, probe: np.ndarray,
                      geometry: ScanGeometry, mode: Mode,
                      oversampling: int = 1) -> np.ndarray:
@@ -220,7 +230,7 @@ def simulate_dataset(obj: np.ndarray, probe: np.ndarray,
     Fourier-space mode runs the identical pipeline on dft2(obj); the probe
     then plays the role of the pupil aperture.
     """
-    effective = obj if mode is Mode.REAL_SPACE else dft2(obj)
+    effective = effective_object(obj, mode)
     wh, ww = geometry.window
     s = oversampling
     stack = np.empty((len(geometry.positions),) + obj.shape[:-2]

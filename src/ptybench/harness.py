@@ -4,13 +4,12 @@ paired scheme comparison, and CSV/JSON persistence.
 An experiment simulates one noise-free intensity stack, then for each
 noise realization draws an independent noisy stack (substream keyed by
 master seed and realization index) and reconstructs it with every
-requested scheme from the same constant initial guess. Everything is
-deterministic given the master seed.
+requested scheme. Everything is deterministic given the master seed.
 
 Every grid runs on realization stacks: at oversampling 1 all
 realizations form one stack; at oversampling 5 each realization is a stack
 of its own. The error-reduction warmup, which every scheme shares, runs
-once per stack, and each scheme refines a copy of the warmed stack. The
+once per stack, and each scheme refines a fork of the warmed stack. The
 adapter runs on the same stacks with no warmup, each scheme from the
 constant start. At oversampling 5 the schemes of a stack run concurrently
 on a thread pool; the results do not depend on it.
@@ -28,7 +27,6 @@ import scipy
 
 from . import engine, forward, metrics, noise
 from .forward import Dataset, Mode
-from .grids import dft2
 from .noise import NoiseModel
 
 
@@ -194,8 +192,8 @@ def build_problem(cfg: ExperimentConfig):
         # the scanned array: the pupil then scans around the zero
         # frequency, as in a physical Fourier-ptychography setup
         h, w = cfg.object_dims
-        truth = dft2(truth * (-1.0) ** np.add.outer(np.arange(h),
-                                                    np.arange(w)))
+        truth = truth * (-1.0) ** np.add.outer(np.arange(h), np.arange(w))
+    truth = forward.effective_object(truth, mode)
     # truth is the effective object in both modes: simulate it as real space
     clean = forward.simulate_dataset(truth, probe, geometry, Mode.REAL_SPACE,
                                      cfg.oversampling)
@@ -237,19 +235,6 @@ def _stack_cells(state, group):
             for k, r in enumerate(group)}
 
 
-def _reconstruct(cfg, spec, adapter, dataset, truth, mask, warm):
-    """Scheme `spec` on `dataset`: refined from the shared warmup `warm`, or
-    adapted from the constant start with the grid's `adapter` settings."""
-    if cfg.adapter:
-        # drop the adapted targets at once: held through the next
-        # scheme's run they raise the peak memory by a pattern stack
-        return engine.adapt_constraints(
-            dataset, replace(adapter, inner_rule=spec.refinement_rule,
-                             inner_mu=spec.mu),
-            true_object=truth, mask=mask, seed=cfg.master_seed)[0]
-    return engine.run_scheme(spec, dataset, start=warm)
-
-
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -287,11 +272,16 @@ def _run_stack(cfg, specs, adapter, dataset, truth, mask, group, cells,
     def scheme_cells(spec):
         t0 = time.perf_counter()
         try:
-            # no name holds the reconstructed state, so it is freed as soon
-            # as its cells are made
-            results = _stack_cells(
-                _reconstruct(cfg, spec, adapter, dataset, truth, mask, warm),
-                group)
+            if cfg.adapter:
+                # drop the adapted targets at once: held through the next
+                # scheme's run they raise the peak memory by a pattern stack
+                state = engine.adapt_constraints(
+                    dataset, replace(adapter, inner_rule=spec.refinement_rule,
+                                     inner_mu=spec.mu),
+                    true_object=truth, mask=mask, seed=cfg.master_seed)[0]
+            else:
+                state = engine.refine(spec, dataset, warm.fork())
+            results = _stack_cells(state, group)
         except engine.NUMERIC_FAILURES as exc:
             results = {r: _failed_cell(exc) for r in group}
         return results, time.perf_counter() - t0

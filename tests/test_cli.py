@@ -100,6 +100,28 @@ def test_dataset_file_keeps_oversampling_only_in_config(tmp_path,
         "error: ValueError: pattern shape (16, 8)")
 
 
+def test_unwritable_output_fails_before_any_work(tmp_path, config_file,
+                                                 capsys, monkeypatch):
+    data = tmp_path / "data.npz"
+    main(["simulate", config_file, str(data)])
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr("ptybench.engine.run_scheme",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("ptybench.harness.build_problem",
+                        lambda *args, **kwargs: calls.append(args))
+    missing = tmp_path / "nodir"
+    assert main(["reconstruct", str(data), "--scheme", "2",
+                 "--output", str(missing / "est.npz")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: FileNotFoundError: --output: ")
+    assert main(["simulate", config_file, str(missing / "data")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: FileNotFoundError: output: ")
+    assert calls == []
+    assert not missing.exists()
+
+
 def test_reconstruct_rejects_negative_sweep_counts(tmp_path, config_file,
                                                   capsys):
     data = tmp_path / "data.npz"
@@ -187,14 +209,14 @@ def test_bad_config_key_fails(tmp_path, capsys):
 
 def test_bench_reports_failed_cells(tmp_path, config_file, capsys,
                                     monkeypatch):
-    original = ptybench.engine.run_scheme
+    original = ptybench.engine.refine
 
     def flaky(spec, *args, **kwargs):
         if spec.id == 2:
             raise ArithmeticError("synthetic divergence")
         return original(spec, *args, **kwargs)
 
-    monkeypatch.setattr("ptybench.harness.engine.run_scheme", flaky)
+    monkeypatch.setattr("ptybench.harness.engine.refine", flaky)
     out_dir = str(tmp_path / "results")
     assert main(["bench", config_file, "--output-dir", out_dir]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -206,7 +228,7 @@ def test_bench_reports_failed_cells(tmp_path, config_file, capsys,
     def broken(spec, *args, **kwargs):
         raise ArithmeticError("synthetic divergence")
 
-    monkeypatch.setattr("ptybench.harness.engine.run_scheme", broken)
+    monkeypatch.setattr("ptybench.harness.engine.refine", broken)
     assert main(["bench", config_file, "--output-dir", out_dir]) == 1
     captured = capsys.readouterr()
     assert "failed cells: 4 of 4" in captured.out

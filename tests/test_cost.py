@@ -90,6 +90,17 @@ def test_fwd_deriv_is_fwd_and_deriv_bit_for_bit(name):
     assert d.tobytes() == want_d.tobytes()
 
 
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_mix_is_the_transformed_convex_combination(name):
+    t = TRANSFORMS[name]
+    rng = np.random.default_rng(6)
+    a, b = rng.random(40) * 100, rng.random(40) * 100
+    for mu in (0.0, 0.1, 1.0):
+        want = t.inv((1.0 - mu) * t.fwd(a) + mu * t.fwd(b))
+        assert t.mix(a, b, mu).tobytes() == want.tobytes()
+    assert np.allclose(t.mix(a, b, 1.0), b, rtol=1e-10)
+
+
 # --- cost evaluation ---------------------------------------------------------
 
 def test_vst_cost_zero_at_data():

@@ -374,8 +374,7 @@ def test_batched_run_from_shared_warmup_matches_single_runs():
     stacks = {}
     for sid in (1, 3, 9, 15):
         spec = scheme(sid, 20, 5)
-        stack = stacks[sid] = run_scheme(spec, batched, true_object=truth,
-                                         mask=mask, seed=4, start=warm)
+        stack = stacks[sid] = pb.refine(spec, batched, warm.fork())
         for r, dataset in enumerate(singles):
             log = [(i, e[r]) for i, e in stack.error_log]
             try:
@@ -414,6 +413,14 @@ def test_unscorable_slice_fails_alone():
     assert np.isnan(errors[0]) and errors[1] == 0.0
 
 
+def test_refine_sweeps_and_returns_the_state_it_is_given():
+    truth, dataset = toy_problem(seed=14)
+    state = pb.warm_start(dataset, 1, true_object=truth, seed=2)
+    assert pb.refine(scheme(9, 1, 2), dataset, state) is state
+    assert state.iteration == 3
+    assert [i for i, _ in state.error_log] == [0, 1, 2, 3]
+
+
 def test_refining_a_fork_leaves_the_warm_state_untouched():
     truth, dataset = toy_problem(seed=14)
     mask = pb.illumination_mask(dataset.probe, dataset.geometry)
@@ -421,7 +428,7 @@ def test_refining_a_fork_leaves_the_warm_state_untouched():
     before = (warm.object_estimate.copy(), list(warm.error_log),
               warm.iteration, warm.rng.bit_generator.state)
     # the fork is scored against the truth and mask the start carries
-    refined = run_scheme(scheme(9, 3, 4), dataset, start=warm)
+    refined = pb.refine(scheme(9, 3, 4), dataset, warm.fork())
     assert refined.true_object is warm.true_object is truth
     assert refined.mask is warm.mask is mask
     assert refined.iteration == 7

@@ -194,16 +194,30 @@ def test_summary_statistics_self_consistent():
         assert summary["n"] == len(errors)
 
 
+@pytest.mark.parametrize("oversampling", [1, 5])
+def test_fourier_problem_scans_the_centered_spectrum(oversampling):
+    cfg = small_config(mode="fourier_space", oversampling=oversampling)
+    truth, probe, geometry, _, clean, _, _ = build_problem(cfg)
+    obj = ptybench.forward.synthesize_object(
+        cfg.object_kind, cfg.object_dims, seed=cfg.master_seed)
+    centered = obj * (-1.0) ** np.add.outer(np.arange(32), np.arange(32))
+    assert np.array_equal(truth, ptybench.dft2(centered))
+    assert np.array_equal(clean, ptybench.scale_to_budget(
+        ptybench.simulate_dataset(centered, probe, geometry,
+                                  ptybench.Mode.FOURIER_SPACE, oversampling),
+        cfg.photon_budget))
+
+
 def test_failure_isolation(monkeypatch, tmp_path):
     calls = {"n": 0}
-    original = ptybench.engine.run_scheme
+    original = ptybench.engine.refine
 
     def flaky(spec, *args, **kwargs):
         if spec.id == 2:
             raise ArithmeticError("synthetic divergence")
         return original(spec, *args, **kwargs)
 
-    monkeypatch.setattr("ptybench.harness.engine.run_scheme", flaky)
+    monkeypatch.setattr("ptybench.harness.engine.refine", flaky)
     # oversampling 5 runs the schemes on the thread pool
     for oversampling in (1, 5):
         record = run_experiment(small_config(realizations=2,
@@ -292,14 +306,14 @@ def test_adapter_grid_runs_all_realizations_as_one_stack():
 
 
 def test_programming_error_propagates(monkeypatch):
-    original = ptybench.engine.run_scheme
+    original = ptybench.engine.refine
 
     def broken(spec, *args, **kwargs):
         if spec.id == 2:
             raise TypeError("synthetic bug")
         return original(spec, *args, **kwargs)
 
-    monkeypatch.setattr("ptybench.harness.engine.run_scheme", broken)
+    monkeypatch.setattr("ptybench.harness.engine.refine", broken)
     threads = threading.active_count()
     for oversampling in (1, 5):
         with pytest.raises(TypeError, match="synthetic bug"):
@@ -309,7 +323,7 @@ def test_programming_error_propagates(monkeypatch):
         assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("target", ["run_scheme", "warm_start"])
+@pytest.mark.parametrize("target", ["refine", "warm_start"])
 def test_value_error_in_a_run_propagates(monkeypatch, target):
     # only arithmetic failures become failed cells: a ValueError in the
     # sweeps or the shared warmup is a bug and ends the run

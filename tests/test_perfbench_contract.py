@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ptybench as pb
-from ptybench import engine, grids
+from ptybench import engine, grids, harness
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                      "perfbench", "spans.py")
@@ -87,3 +87,31 @@ def test_tracer_counts_the_work_of_a_real_run(spans):
     assert (counts["engine.sweeps"], counts["engine.warmup_sweeps"],
             counts["engine.position_updates"], counts["grids.fft_calls"]) == (
         3, 2, 3 * n, 6 * n)
+
+
+@pytest.mark.parametrize("settings, expected", [
+    # one shared warmup of 2 sweeps, then 1 refinement sweep per scheme
+    (dict(warmup_iterations=2, refinement_iterations=1), (4, 2, 36, 4)),
+    # no warmup: 3 outer rounds of 2 inner sweeps per scheme
+    (dict(adapter=True, adapter_inner_sweeps=2, adapter_outer_rounds=3),
+     (12, 0, 108, 4)),
+])
+def test_tracer_counts_the_work_of_a_grid(spans, settings, expected):
+    # every sweep of a grid passes through the wrapped position_sweep. At
+    # oversampling 1 the schemes run one after another: the tracer's
+    # counters are not safe across threads.
+    cfg = harness.ExperimentConfig(
+        object_dims=(32, 32), window=(16, 16), probe_radius=5.0,
+        scan_step=8, scheme_ids=(1, 9), realizations=2, oversampling=1,
+        **settings)
+    tracer = spans.Tracer()
+    tracer.begin_grid()
+    tracer.install()
+    try:
+        harness.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    counts = tracer.end_grid()
+    assert (counts["engine.sweeps"], counts["engine.warmup_sweeps"],
+            counts["engine.position_updates"], counts["harness.cells"]) == (
+        expected)
