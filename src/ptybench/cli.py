@@ -62,33 +62,38 @@ def _check_non_negative(flag, value):
 
 
 def _check_output_dir(flag, path):
-    """Refuse an output file whose directory does not exist before any work
-    is done, so a run that fails writes nothing. No file is made here."""
+    """The name numpy writes the .npz output `path` to: `path`, with .npz
+    appended if it lacks it. A path with no file name, or one whose
+    directory does not exist, is refused before any work is done, so a run
+    that fails writes nothing. No file is made here."""
+    if not os.path.basename(path):
+        raise ValueError(f"{flag} must name a file, got {path!r}")
     directory = os.path.dirname(path) or os.curdir
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"{flag}: no directory {directory!r} to "
                                 f"write {path!r} in")
+    return path if path.endswith(".npz") else path + ".npz"
 
 
 def _cmd_simulate(args):
     _check_non_negative("--realization", args.realization)
-    _check_output_dir("output", args.output)
+    output = _check_output_dir("output", args.output)
     cfg = _read_config(args.config)
     truth, probe, geometry, _, clean, _, _ = harness.build_problem(cfg)
     model = NoiseModel(cfg.noise_model)
     seed = harness.realization_seed(cfg.master_seed, args.realization)
     patterns = noise.apply_noise(clean, model, seed)
     dataset = Dataset(geometry, patterns, probe)
-    _save_dataset(args.output, dataclasses.asdict(cfg), dataset, truth)
-    print(f"wrote {args.output}: {len(patterns)} patterns of "
+    _save_dataset(output, dataclasses.asdict(cfg), dataset, truth)
+    print(f"wrote {output}: {len(patterns)} patterns of "
           f"{patterns.shape[1]}x{patterns.shape[2]}, "
           f"mode={cfg.mode}, noise={cfg.noise_model}")
 
 
 def _cmd_reconstruct(args):
     _check_non_negative("--seed", args.seed)
-    if args.output:
-        _check_output_dir("--output", args.output)
+    output = (None if args.output is None
+              else _check_output_dir("--output", args.output))
     dataset, truth = _load_dataset(args.dataset)
     mask = metrics.illumination_mask(dataset.probe, dataset.geometry)
     spec = engine.scheme(args.scheme, args.warmup, args.refinement)
@@ -97,11 +102,10 @@ def _cmd_reconstruct(args):
     final = state.error_log[-1][1]
     print(f"scheme {args.scheme}: {state.iteration} sweeps, "
           f"final masked error {final:.6g}")
-    if args.output:
-        np.savez_compressed(args.output,
-                            object_estimate=state.object_estimate,
+    if output:
+        np.savez_compressed(output, object_estimate=state.object_estimate,
                             error_log=np.asarray(state.error_log))
-        print(f"wrote {args.output}")
+        print(f"wrote {output}")
 
 
 def _cmd_bench(args):

@@ -116,11 +116,6 @@ class ObjectMix:
         return ("object_mix", self.transform.name)
 
 
-# a numeric failure fails only its own reconstruction; any other error is
-# a bug and raises
-NUMERIC_FAILURES = (ArithmeticError,)
-
-
 @dataclass
 class ReconstructionState:
     """One object estimate (H, W) or a stack (R, H, W) with its sweep count,
@@ -128,7 +123,7 @@ class ReconstructionState:
 
     For a stack, each error_log entry holds an (R,) array of errors, and
     `failures` maps the index of each slice that could not be scored (its
-    error turned non-finite, or scoring raised one of NUMERIC_FAILURES) to
+    error turned non-finite, or scoring raised an ArithmeticError) to
     that exception; that slice is no longer scored, and the others go on
     unchanged.
     """
@@ -168,7 +163,9 @@ class ReconstructionState:
             try:
                 err = errors[k] = align_and_error(estimate, self.true_object,
                                                   self.mask)
-            except NUMERIC_FAILURES as exc:
+            except ArithmeticError as exc:
+                # a numeric failure fails only its own slice; any other
+                # error is a bug and raises
                 self.failures[k] = exc
                 continue
             if not np.isfinite(err):

@@ -250,41 +250,30 @@ def _run_stack(cfg, specs, adapter, dataset, truth, mask, group, cells,
     returns the timings. With a thread `pool` the schemes run concurrently,
     and their cells and times are still filled in spec order.
 
-    A realization whose error cannot be scored fails only its own cells.
-    Any other numeric failure fails every cell of the stack it reaches:
-    in the warmup every scheme's, in a scheme's sweeps that scheme's.
+    A cell fails where the engine recorded its realization as failed. An
+    exception that leaves a run is a bug and ends the grid.
     """
     timing = {"realizations": len(group), "scheme_s": {}}
     t0 = time.perf_counter()
-    try:
-        # reconstruction seed is realization-independent: identical data
-        # must give identical trajectories
-        warm = None if cfg.adapter else engine.warm_start(
-            dataset, cfg.warmup_iterations, true_object=truth, mask=mask,
-            seed=cfg.master_seed)
-    except engine.NUMERIC_FAILURES as exc:
-        cells.update(((spec.id, r), _failed_cell(exc))
-                     for spec in specs for r in group)
-        return timing
-    finally:
-        timing["warmup_s"] = time.perf_counter() - t0
+    # reconstruction seed is realization-independent: identical data must
+    # give identical trajectories
+    warm = None if cfg.adapter else engine.warm_start(
+        dataset, cfg.warmup_iterations, true_object=truth, mask=mask,
+        seed=cfg.master_seed)
+    timing["warmup_s"] = time.perf_counter() - t0
 
     def scheme_cells(spec):
         t0 = time.perf_counter()
-        try:
-            if cfg.adapter:
-                # drop the adapted targets at once: held through the next
-                # scheme's run they raise the peak memory by a pattern stack
-                state = engine.adapt_constraints(
-                    dataset, replace(adapter, inner_rule=spec.refinement_rule,
-                                     inner_mu=spec.mu),
-                    true_object=truth, mask=mask, seed=cfg.master_seed)[0]
-            else:
-                state = engine.refine(spec, dataset, warm.fork())
-            results = _stack_cells(state, group)
-        except engine.NUMERIC_FAILURES as exc:
-            results = {r: _failed_cell(exc) for r in group}
-        return results, time.perf_counter() - t0
+        if cfg.adapter:
+            # drop the adapted targets at once: held through the next
+            # scheme's run they raise the peak memory by a pattern stack
+            state = engine.adapt_constraints(
+                dataset, replace(adapter, inner_rule=spec.refinement_rule,
+                                 inner_mu=spec.mu),
+                true_object=truth, mask=mask, seed=cfg.master_seed)[0]
+        else:
+            state = engine.refine(spec, dataset, warm.fork())
+        return _stack_cells(state, group), time.perf_counter() - t0
 
     for spec, (results, seconds) in zip(
             specs, (pool.map if pool else map)(scheme_cells, specs)):

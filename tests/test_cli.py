@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -36,6 +37,22 @@ def test_simulate_writes_dataset(tmp_path, config_file, capsys):
     with np.load(out) as data:
         assert data["patterns"].shape[1:] == (16, 16)
         assert np.all(data["patterns"] >= 0)
+
+
+def test_output_paths_are_reported_as_written(tmp_path, config_file,
+                                             capsys):
+    # numpy appends .npz to a name that lacks it: the commands print and
+    # read the file it wrote
+    data, est = tmp_path / "data", tmp_path / "est"
+    assert main(["simulate", config_file, str(data)]) == 0
+    written = capsys.readouterr().out.split(":", 1)[0]
+    assert written == f"wrote {data}.npz"
+    assert main(["reconstruct", written.removeprefix("wrote "),
+                 "--scheme", "1", "--warmup", "2", "--refinement", "0",
+                 "--output", str(est)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {est}.npz"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.npz", "est.npz", "exp.cfg"]
 
 
 def test_reconstruct_runs_on_dataset(tmp_path, config_file, capsys):
@@ -98,6 +115,13 @@ def test_dataset_file_keeps_oversampling_only_in_config(tmp_path,
     assert main(["reconstruct", str(corrupt), "--scheme", "1"]) == 1
     assert capsys.readouterr().err.startswith(
         "error: ValueError: pattern shape (16, 8)")
+    # and so are patterns with a negative intensity
+    patterns = arrays["patterns"].copy()
+    patterns[0, 0, 0] = -1.0
+    np.savez_compressed(corrupt, **{**arrays, "patterns": patterns})
+    assert main(["reconstruct", str(corrupt), "--scheme", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: intensity patterns must be nonnegative\n")
 
 
 def test_unwritable_output_fails_before_any_work(tmp_path, config_file,
@@ -118,6 +142,18 @@ def test_unwritable_output_fails_before_any_work(tmp_path, config_file,
     assert main(["simulate", config_file, str(missing / "data")]) == 1
     assert capsys.readouterr().err.startswith(
         "error: FileNotFoundError: output: ")
+    # an empty path, or a directory's, names no file
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    for path in ("", str(tmp_path) + os.sep):
+        assert main(["reconstruct", str(data), "--scheme", "2",
+                     "--output", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ValueError: --output must name a file")
+        assert main(["simulate", config_file, path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ValueError: output must name a file")
+    assert sorted(tmp_path.iterdir()) == before
     assert calls == []
     assert not missing.exists()
 
@@ -211,10 +247,13 @@ def test_bench_reports_failed_cells(tmp_path, config_file, capsys,
                                     monkeypatch):
     original = ptybench.engine.refine
 
-    def flaky(spec, *args, **kwargs):
+    def flaky(spec, dataset, state):
+        # the engine's own record of a diverged realization, for every slice
         if spec.id == 2:
-            raise ArithmeticError("synthetic divergence")
-        return original(spec, *args, **kwargs)
+            state.failures.update(
+                (k, ArithmeticError("synthetic divergence"))
+                for k in range(len(state.object_estimate)))
+        return original(spec, dataset, state)
 
     monkeypatch.setattr("ptybench.harness.engine.refine", flaky)
     out_dir = str(tmp_path / "results")
@@ -225,8 +264,11 @@ def test_bench_reports_failed_cells(tmp_path, config_file, capsys,
         "failed cell: scheme 2 realization 1 ArithmeticError",
         "failed cells: 2 of 4"]
 
-    def broken(spec, *args, **kwargs):
-        raise ArithmeticError("synthetic divergence")
+    def broken(spec, dataset, state):
+        state.failures.update(
+            (k, ArithmeticError("synthetic divergence"))
+            for k in range(len(state.object_estimate)))
+        return original(spec, dataset, state)
 
     monkeypatch.setattr("ptybench.harness.engine.refine", broken)
     assert main(["bench", config_file, "--output-dir", out_dir]) == 1

@@ -274,6 +274,12 @@ def test_dataset_reads_its_oversampling_and_refuses_misfit_shapes():
                                              rf"{shape[1]}\) .* window "
                                              r"\(16, 16\)"):
             Dataset(geom, np.zeros((n,) + shape), probe)
+    with pytest.raises(ValueError, match="one pattern per scan position"):
+        Dataset(geom, patterns[:-1], probe)
+    negative = patterns.copy()
+    negative[0, 0, 0] = -1.0
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        Dataset(geom, negative, probe)
     with pytest.raises(AttributeError):
         Dataset(geom, patterns, probe).oversampling = 5
 

@@ -212,10 +212,13 @@ def test_failure_isolation(monkeypatch, tmp_path):
     calls = {"n": 0}
     original = ptybench.engine.refine
 
-    def flaky(spec, *args, **kwargs):
+    def flaky(spec, dataset, state):
+        # the engine's own record of a diverged realization, for every slice
         if spec.id == 2:
-            raise ArithmeticError("synthetic divergence")
-        return original(spec, *args, **kwargs)
+            state.failures.update(
+                (k, ArithmeticError("synthetic divergence"))
+                for k in range(len(state.object_estimate)))
+        return original(spec, dataset, state)
 
     monkeypatch.setattr("ptybench.harness.engine.refine", flaky)
     # oversampling 5 runs the schemes on the thread pool
@@ -240,8 +243,16 @@ def test_failure_isolation(monkeypatch, tmp_path):
 
 
 def test_warmup_failure_fails_every_cell(monkeypatch):
+    original = ptybench.engine.warm_start
+
     def failing(*args, **kwargs):
-        raise ArithmeticError("synthetic warmup divergence")
+        # every slice of the warmup diverged; the forks inherit the record,
+        # so every refinement stops at once
+        state = original(*args, **kwargs)
+        state.failures.update(
+            (k, ArithmeticError("synthetic warmup divergence"))
+            for k in range(len(state.object_estimate)))
+        return state
 
     monkeypatch.setattr("ptybench.harness.engine.warm_start", failing)
     for oversampling in (1, 5):
@@ -323,16 +334,26 @@ def test_programming_error_propagates(monkeypatch):
         assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("target", ["refine", "warm_start"])
-def test_value_error_in_a_run_propagates(monkeypatch, target):
-    # only arithmetic failures become failed cells: a ValueError in the
-    # sweeps or the shared warmup is a bug and ends the run
+@pytest.mark.parametrize("target, error, oversampling", [
+    # a ValueError at oversampling 1 is named by its target alone
+    pytest.param(target, error, s, id=target if (error, s) == (ValueError, 1)
+                 else f"{target}-{error.__name__}-{s}")
+    for error in (ValueError, ArithmeticError) for s in (1, 5)
+    for target in ("refine", "warm_start")])
+def test_value_error_in_a_run_propagates(monkeypatch, target, error,
+                                         oversampling):
+    # a cell fails only where the engine recorded its realization as
+    # failed: any error that leaves the sweeps or the shared warmup, an
+    # ArithmeticError too, is a bug and ends the run
     def broken(*args, **kwargs):
-        raise ValueError("synthetic shape mismatch")
+        raise error("synthetic shape mismatch")
 
     monkeypatch.setattr(f"ptybench.harness.engine.{target}", broken)
-    with pytest.raises(ValueError, match="synthetic shape mismatch"):
-        run_experiment(small_config(realizations=1))
+    threads = threading.active_count()
+    with pytest.raises(error, match="synthetic shape mismatch"):
+        run_experiment(small_config(realizations=1,
+                                    oversampling=oversampling))
+    assert threading.active_count() == threads
 
 
 # --- comparisons ----------------------------------------------------------------
