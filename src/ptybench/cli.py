@@ -22,9 +22,8 @@ import sys
 
 import numpy as np
 
-from . import engine, forward, harness, metrics, noise
+from . import engine, forward, harness, metrics
 from .forward import Dataset
-from .noise import NoiseModel
 
 
 def _save_dataset(path, cfg, dataset, truth):
@@ -80,9 +79,7 @@ def _cmd_simulate(args):
     output = _check_output_dir("output", args.output)
     cfg = _read_config(args.config)
     truth, probe, geometry, _, clean, _, _ = harness.build_problem(cfg)
-    model = NoiseModel(cfg.noise_model)
-    seed = harness.realization_seed(cfg.master_seed, args.realization)
-    patterns = noise.apply_noise(clean, model, seed)
+    patterns = harness.noisy_patterns(cfg, clean, [args.realization])[:, 0]
     dataset = Dataset(geometry, patterns, probe)
     _save_dataset(output, dataclasses.asdict(cfg), dataset, truth)
     print(f"wrote {output}: {len(patterns)} patterns of "
@@ -118,8 +115,7 @@ def _cmd_bench(args):
         os.makedirs(cfg.output_dir, exist_ok=True)
     record = harness.run_experiment(cfg)
     paths = harness.export(record, cfg.output_dir)
-    for sid in sorted(record.summaries):
-        summary = record.summaries[sid]
+    for sid, summary in record.summaries.items():
         if summary.get("failed"):
             print(f"scheme {sid:2d}: all realizations failed")
         else:

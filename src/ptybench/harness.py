@@ -12,7 +12,8 @@ of its own. The error-reduction warmup, which every scheme shares, runs
 once per stack, and each scheme refines a fork of the warmed stack. The
 adapter runs on the same stacks with no warmup, each scheme from the
 constant start. At oversampling 5 the schemes of a stack run concurrently
-on a thread pool; the results do not depend on it.
+on a thread pool; the results do not depend on it. A record's cells are
+its one source of truth: its per-scheme summaries are derived from them.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 import scipy
@@ -87,9 +88,10 @@ class ExperimentConfig:
 
     def hash(self) -> str:
         # output_dir is excluded: the hash identifies the experiment's
-        # content, not where its files land
-        payload = {k: v for k, v in asdict(self).items()
-                   if k != "output_dir"}
+        # content, not where its files land. Floats hash as floats: 10 == 10.0
+        payload = {f.name: float(getattr(self, f.name)) if f.type is float
+                   else getattr(self, f.name)
+                   for f in fields(self) if f.name != "output_dir"}
         text = json.dumps(payload, sort_keys=True, default=list)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -111,6 +113,13 @@ _OWNERS = (
 )
 
 
+def _parse_ints(value: str) -> tuple:
+    items = value.replace("x", ",").split(",") if value else []
+    if not all(item.strip() for item in items):
+        raise ValueError(f"empty item in {value!r}")
+    return tuple(int(item) for item in items)
+
+
 def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered not in ("1", "true", "yes", "0", "false", "no"):
@@ -124,8 +133,7 @@ _PARSERS = {
     int: int,
     float: float,
     str: str,
-    tuple: lambda value: tuple(int(v) for v in value.replace("x", ",")
-                               .split(",") if v.strip()),
+    tuple: _parse_ints,
 }
 
 
@@ -162,15 +170,28 @@ class ExperimentRecord:
     config: dict
     config_hash: str
     cells: dict = field(default_factory=dict)   # (scheme, realization) -> cell
-    summaries: dict = field(default_factory=dict)  # scheme -> stats
     meta: dict = field(default_factory=dict)
 
+    def ok_errors(self, scheme_id: int) -> dict:
+        """The final errors of the scheme's ok cells, keyed by realization."""
+        return {r: cell["final_error"]
+                for (sid, r), cell in sorted(self.cells.items())
+                if sid == scheme_id and cell["ok"]}
+
     def final_errors(self, scheme_id: int):
-        return [self.cells[key]["final_error"] for key in sorted(self.cells)
-                if key[0] == scheme_id and self.cells[key]["ok"]]
+        return list(self.ok_errors(scheme_id).values())
+
+    @property
+    def summaries(self) -> dict:
+        """scheme -> statistics of its ok final errors, derived from the
+        cells; {"failed": True} for a scheme with no ok cell."""
+        return {sid: _summary_stats(self.final_errors(sid))
+                for sid in sorted({sid for sid, _ in self.cells})}
 
 
 def _summary_stats(errors):
+    if not errors:  # no realization ran ok: no statistic
+        return {"failed": True}
     arr = np.asarray(errors, dtype=float)
     return {
         "median": float(np.median(arr)),
@@ -215,15 +236,17 @@ def _ok_cell(curve):
 
 def _failed_cell(exc):
     return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
-            "curve": [], "final_error": float("nan")}
+            "curve": [], "final_error": None}
 
 
-def _noisy_stack(clean, model, seeds):
-    """The (P, R, h, w) noisy patterns of R realizations, drawn one
-    realization at a time into one preallocated array."""
-    patterns = np.empty((len(clean), len(seeds)) + clean.shape[1:])
-    for r, rseed in enumerate(seeds):
-        patterns[:, r] = noise.apply_noise(clean, model, rseed)
+def noisy_patterns(cfg: ExperimentConfig, clean, realizations):
+    """The (P, R, h, w) noisy patterns of the given realizations of `cfg`'s
+    noise, drawn one realization at a time into one preallocated array."""
+    model = NoiseModel(cfg.noise_model)
+    patterns = np.empty((len(clean), len(realizations)) + clean.shape[1:])
+    for k, r in enumerate(realizations):
+        patterns[:, k] = noise.apply_noise(
+            clean, model, realization_seed(cfg.master_seed, r))
     return patterns
 
 
@@ -246,7 +269,7 @@ def usable_cpus() -> int:
 def _run_stack(cfg, specs, adapter, dataset, truth, mask, group, cells,
                pool):
     """Every scheme on the stack of realizations `group`, from one shared
-    warmup (none for the adapter); fills cells[(scheme, realization)] and
+    warmup (none for the adapter); updates cells[(scheme, realization)] and
     returns the timings. With a thread `pool` the schemes run concurrently,
     and their cells and times are still filled in spec order.
 
@@ -277,7 +300,8 @@ def _run_stack(cfg, specs, adapter, dataset, truth, mask, group, cells,
 
     for spec, (results, seconds) in zip(
             specs, (pool.map if pool else map)(scheme_cells, specs)):
-        cells.update(((spec.id, r), cell) for r, cell in results.items())
+        for r, cell in results.items():
+            cells[(spec.id, r)].update(cell)
         timing["scheme_s"][str(spec.id)] = seconds
     return timing
 
@@ -293,7 +317,6 @@ def environment(cfg: ExperimentConfig, workers: int) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     truth, probe, geometry, mask, clean, specs, adapter = build_problem(cfg)
-    model = NoiseModel(cfg.noise_model)
     # all realizations as one stack at oversampling 1; at oversampling 5
     # batching 160x160 transforms gains nothing, and one stack would hold
     # every realization's patterns at once
@@ -312,9 +335,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     record = ExperimentRecord(config=config_echo, config_hash=cfg.hash())
     record.meta["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     record.meta["environment"] = environment(cfg, workers)
-    seeds = [realization_seed(cfg.master_seed, r)
-             for r in range(cfg.realizations)]
-    cells, timings = {}, []
+    # in (realization, scheme) order, the order the cells are summed in by
+    # callers that iterate the record
+    record.cells = {(sid, r): {"seed": realization_seed(cfg.master_seed, r)}
+                    for r in range(cfg.realizations)
+                    for sid in cfg.scheme_ids}
+    timings = []
     pool = None
     if workers > 1:
         # loaded by its one user: concurrent.futures imports logging, which
@@ -323,10 +349,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         pool = ThreadPoolExecutor(workers)
     try:
         for group in groups:
-            patterns = _noisy_stack(clean, model, [seeds[r] for r in group])
+            patterns = noisy_patterns(cfg, clean, group)
             dataset = Dataset(geometry, patterns, probe)
             timings.append(_run_stack(cfg, specs, adapter, dataset, truth,
-                                      mask, group, cells, pool))
+                                      mask, group, record.cells, pool))
             # free this stack's patterns before the next one is drawn
             del patterns, dataset
     finally:
@@ -334,17 +360,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
             # a bug in one scheme ends the run: drop the queued schemes
             pool.shutdown(cancel_futures=True)
     record.meta["timings"] = timings
-    # insert in (realization, scheme) order, the order the cells are
-    # summed in by callers that iterate the record
-    for r, rseed in enumerate(seeds):
-        for sid in cfg.scheme_ids:
-            record.cells[(sid, r)] = {"seed": rseed, **cells[(sid, r)]}
-    for sid in cfg.scheme_ids:
-        errors = record.final_errors(sid)
-        if errors:
-            record.summaries[sid] = _summary_stats(errors)
-        else:
-            record.summaries[sid] = {"failed": True}
     return record
 
 
@@ -355,10 +370,7 @@ def compare_schemes(record: ExperimentRecord, baseline_id: int,
     for sid in (baseline_id, candidate_id):
         if not any(key[0] == sid for key in record.cells):
             raise ValueError(f"scheme {sid} not present in the record")
-    base, cand = ({r: cell["final_error"]
-                   for (s, r), cell in record.cells.items()
-                   if s == sid and cell["ok"]}
-                  for sid in (baseline_id, candidate_id))
+    base, cand = record.ok_errors(baseline_id), record.ok_errors(candidate_id)
     # pair on the realization: one where either scheme failed has no pair
     paired = sorted(base.keys() & cand.keys())
     n = len(paired)
@@ -399,13 +411,13 @@ def export(record: ExperimentRecord, out_dir: str) -> dict:
     paths = {name: os.path.join(out_dir, name)
              for name in ("summary.csv", "curves.csv", "record.json")}
     tag = record.config_hash
+    summaries = record.summaries
 
     with open(paths["summary.csv"], "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# config_hash={tag}\n")
         f.write("scheme,rule,functional,mu,median,mean,std,min,max,n\n")
         columns = ("median", "mean", "std", "min", "max")
-        for sid in sorted(record.summaries):
-            stats_row = record.summaries[sid]
+        for sid, stats_row in summaries.items():
             if stats_row.get("failed"):
                 # no realization ran ok: no statistic, no sample
                 stats_row = dict.fromkeys(columns, float("nan")) | {"n": 0}
@@ -426,12 +438,13 @@ def export(record: ExperimentRecord, out_dir: str) -> dict:
         "config": record.config,
         "config_hash": record.config_hash,
         "meta": record.meta,
-        "summaries": {str(k): v for k, v in record.summaries.items()},
+        "summaries": {str(k): v for k, v in summaries.items()},
         "cells": [{"scheme": sid, "realization": r, **cell}
                   for (sid, r), cell in sorted(record.cells.items())],
     }
     with open(paths["record.json"], "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+        # strict JSON: a failed cell's final error is null, not NaN
+        json.dump(payload, f, indent=1, sort_keys=True, allow_nan=False)
     return paths
 
 
@@ -447,13 +460,13 @@ def load_record(path: str) -> ExperimentRecord:
         sid, r = cell.pop("scheme"), cell.pop("realization")
         cell["curve"] = [(int(i), float(e)) for i, e in cell["curve"]]
         record.cells[(sid, r)] = cell
-    record.summaries = {int(k): v for k, v in payload["summaries"].items()}
-    for sid, summary in record.summaries.items():
-        if summary.get("failed"):
-            continue
-        recomputed = _summary_stats(record.final_errors(sid))
-        for key, val in recomputed.items():
-            if not np.isclose(val, summary[key], rtol=1e-12, atol=1e-300):
+    stored = {int(k): v for k, v in payload["summaries"].items()}
+    derived = record.summaries
+    for sid in sorted(stored.keys() | derived.keys()):
+        want, got = derived.get(sid, {}), stored.get(sid, {})
+        for key in sorted(want.keys() | got.keys()):
+            if not (key in want and key in got and np.isclose(
+                    want[key], got[key], rtol=1e-12, atol=1e-300)):
                 raise ValueError(f"record self-consistency check failed for "
                                  f"scheme {sid}, statistic {key!r}")
     return record

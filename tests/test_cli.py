@@ -55,6 +55,23 @@ def test_output_paths_are_reported_as_written(tmp_path, config_file,
         "data.npz", "est.npz", "exp.cfg"]
 
 
+def test_simulated_realization_reproduces_the_bench_cell(tmp_path,
+                                                       config_file, capsys):
+    # simulate draws the grid's noise realization, and reconstruct with the
+    # grid's seed and sweep counts retraces that realization's cell
+    out_dir, data, est = (str(tmp_path / name)
+                          for name in ("results", "data.npz", "est.npz"))
+    assert main(["bench", config_file, "--output-dir", out_dir]) == 0
+    assert main(["simulate", config_file, data, "--realization", "1"]) == 0
+    assert main(["reconstruct", data, "--scheme", "1", "--warmup", "10",
+                 "--refinement", "10", "--seed", "7", "--output", est]) == 0
+    with open(os.path.join(out_dir, "record.json")) as f:
+        (cell,) = [cell for cell in json.load(f)["cells"]
+                   if (cell["scheme"], cell["realization"]) == (1, 1)]
+    with np.load(est) as result:
+        assert result["error_log"].tolist() == cell["curve"]
+
+
 def test_reconstruct_runs_on_dataset(tmp_path, config_file, capsys):
     data = tmp_path / "data.npz"
     est = tmp_path / "est.npz"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -26,6 +27,24 @@ SMALL_CONFIG = dict(
 
 def small_config(**overrides):
     return ExperimentConfig(**{**SMALL_CONFIG, **overrides})
+
+
+def record_with_failed_scheme(monkeypatch, failing_id=2):
+    """A three-scheme, two-realization record in which every cell of
+    `failing_id` failed, recorded as the engine records a divergence."""
+    original = ptybench.engine.refine
+
+    def flaky(spec, dataset, state):
+        if spec.id == failing_id:
+            state.failures.update(
+                (k, ArithmeticError("synthetic divergence"))
+                for k in range(len(state.object_estimate)))
+        return original(spec, dataset, state)
+
+    monkeypatch.setattr("ptybench.harness.engine.refine", flaky)
+    return run_experiment(small_config(scheme_ids=(1, 2, 3), realizations=2,
+                                       warmup_iterations=2,
+                                       refinement_iterations=2))
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +94,21 @@ def test_parse_config_rejects_repeated_key():
     with pytest.raises(ValueError,
                        match="line 3: realizations repeats line 1"):
         parse_config("realizations = 2\nmaster_seed = 1\nrealizations = 3")
+
+
+@pytest.mark.parametrize("text", [
+    "scheme_ids = 1,,2", "scheme_ids = 1,2,", "scheme_ids = 1, ,2",
+    "window = 32x", "object_dims = x64"])
+def test_parse_config_rejects_empty_tuple_item(text):
+    key, value = (part.strip() for part in text.split("="))
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 1: {key}: empty item in {value!r}")):
+        parse_config(text)
+
+
+def test_parse_config_empty_tuple_reaches_validation():
+    with pytest.raises(ValueError, match="at least one scheme"):
+        parse_config("scheme_ids =")
 
 
 def test_config_validation():
@@ -129,6 +163,15 @@ def test_config_validation_rejects(overrides, message):
 def test_config_hash_stable():
     assert small_config().hash() == small_config().hash()
     assert small_config().hash() != small_config(master_seed=43).hash()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("probe_radius", 5), ("photon_budget", 10000), ("adapter_mu_c", 1)])
+def test_equal_configs_hash_equally(key, value):
+    as_int, as_float = small_config(**{key: value}), small_config(
+        **{key: float(value)})
+    assert as_int == as_float
+    assert as_int.hash() == as_float.hash()
 
 
 # --- experiment runs ------------------------------------------------------------
@@ -358,6 +401,32 @@ def test_value_error_in_a_run_propagates(monkeypatch, target, error,
 
 # --- comparisons ----------------------------------------------------------------
 
+@pytest.mark.parametrize("oversampling", [1, 5])
+def test_cells_are_in_realization_then_scheme_order(oversampling):
+    cfg = small_config(oversampling=oversampling, realizations=2,
+                       scheme_ids=(2, 1), warmup_iterations=1,
+                       refinement_iterations=1)
+    record = run_experiment(cfg)
+    assert list(record.cells) == [(2, 0), (1, 0), (2, 1), (1, 1)]
+    for (_, r), cell in record.cells.items():
+        assert list(cell) == ["seed", "ok", "curve", "final_error"]
+        assert cell["seed"] == realization_seed(cfg.master_seed, r)
+
+
+def test_summaries_follow_the_cells():
+    record = run_experiment(small_config(realizations=2, warmup_iterations=2,
+                                         refinement_iterations=2))
+    record.cells[(1, 0)]["final_error"] = 0.25
+    record.cells[(1, 1)]["final_error"] = 0.75
+    assert record.summaries[1] == {"median": 0.5, "mean": 0.5, "std": 0.25,
+                                   "min": 0.25, "max": 0.75, "n": 2}
+    record.cells[(2, 1)]["ok"] = False
+    assert record.summaries[2]["n"] == 1
+    record.cells[(2, 0)]["ok"] = False
+    assert record.summaries[2] == {"failed": True}
+    assert list(record.summaries) == [1, 2]
+
+
 def test_compare_scheme_with_itself():
     record = run_experiment(small_config(scheme_ids=(1,)))
     result = compare_schemes(record, 1, 1)
@@ -474,6 +543,49 @@ def test_load_detects_tampered_summary(tmp_path):
         json.dump(payload, f)
     with pytest.raises(ValueError, match="self-consistency"):
         load_record(paths["record.json"])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda summaries: summaries.update({"1": {"failed": True}}),
+    lambda summaries: summaries.pop("1"),
+    lambda summaries: summaries.update({"2": summaries["1"]}),
+    lambda summaries: summaries["1"].update(p90=0.5),
+], ids=["ok_scheme_said_failed", "summary_missing",
+        "failed_scheme_with_statistics", "extra_statistic"])
+def test_load_checks_summaries_against_cells_both_ways(monkeypatch, tmp_path,
+                                                      tamper):
+    record = record_with_failed_scheme(monkeypatch)
+    paths = export(record, str(tmp_path))
+    assert load_record(paths["record.json"]).summaries == record.summaries
+    with open(paths["record.json"]) as f:
+        payload = json.load(f)
+    tamper(payload["summaries"])
+    with open(paths["record.json"], "w") as f:
+        json.dump(payload, f)
+    with pytest.raises(ValueError, match="self-consistency"):
+        load_record(paths["record.json"])
+
+
+def test_record_json_is_strict_with_a_failed_cell(monkeypatch, tmp_path):
+    record = record_with_failed_scheme(monkeypatch)
+    paths = export(record, str(tmp_path))
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with open(paths["record.json"]) as f:
+        payload = json.loads(f.read(), parse_constant=refuse)
+    loaded = load_record(paths["record.json"])
+    assert loaded.cells[(2, 0)]["ok"] is False
+    assert loaded.cells[(2, 0)]["final_error"] is None
+    assert loaded.summaries == record.summaries
+    # an older file that wrote NaN for a failed cell still loads
+    for cell in payload["cells"]:
+        if not cell["ok"]:
+            cell["final_error"] = float("nan")
+    with open(paths["record.json"], "w") as f:
+        json.dump(payload, f)
+    assert load_record(paths["record.json"]).summaries == record.summaries
 
 
 def test_rerun_reproduces_files_byte_identically(tmp_path):
