@@ -14,7 +14,7 @@ from .engine import (GradientDescent, FourierMix, ObjectMix, SchemeSpec,
                      ReconstructionState, AdapterConfig, SCHEMES, scheme,
                      modulus_substitute, er_support_iterate, position_sweep,
                      global_gradient_step, warm_start, refine, run_scheme,
-                     adapt_constraints)
+                     adapt_in_place, adapt_constraints)
 from .metrics import illumination_mask, align_and_error
 from .harness import (ExperimentConfig, ExperimentRecord, parse_config,
                       run_experiment, compare_schemes, export, load_record)

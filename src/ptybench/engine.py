@@ -351,29 +351,33 @@ class AdapterConfig:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def adapt_constraints(dataset: Dataset, config: AdapterConfig,
-                      init_object: Optional[np.ndarray] = None,
-                      true_object: Optional[np.ndarray] = None,
-                      mask: Optional[np.ndarray] = None,
-                      seed: int = 0):
+def adapt_in_place(dataset: Dataset, config: AdapterConfig,
+                   init_object: Optional[np.ndarray] = None,
+                   true_object: Optional[np.ndarray] = None,
+                   mask: Optional[np.ndarray] = None,
+                   seed: int = 0) -> ReconstructionState:
     """Outer loop that slowly replaces the measured intensities with the
-    model's own predictions: starting from m~ = y, each round runs
-    `inner_sweeps` position sweeps against m~, then mixes
-    m~ <- (1 - mu_c) m~ + mu_c z0 with z0 the currently predicted stack.
+    model's own predictions: starting from m~ = y, the dataset's float
+    patterns, each round runs `inner_sweeps` position sweeps against m~,
+    then mixes m~ <- (1 - mu_c) m~ + mu_c z0 with z0 the currently
+    predicted stack. m~ is the dataset's patterns array itself: it is
+    overwritten, so a caller that keeps y passes a copy.
 
     The mix runs in place, one position at a time, so no whole predicted
-    stack is held; each element is the same fl(fl(a m~) + fl(b z0)). On an
-    object stack the rounds stop once every slice has failed, as the sweeps
-    of `refine` do. Returns (final state, final m~ stack).
+    stack is held; each element is the same fl(fl(a m~) + fl(b z0)). m~
+    stays a nonnegative convex combination of nonnegative stacks, so the
+    checks of Dataset hold in every round. On an object stack the rounds
+    stop once every slice has failed, as the sweeps of `refine` do.
+    Returns the final state.
     """
+    m_tilde = dataset.patterns
+    if m_tilde.dtype != float:
+        raise ValueError(f"adapted patterns must be float, "
+                         f"got {m_tilde.dtype}")
     state = _start_state(dataset, init_object, seed, true_object, mask)
-    m_tilde = dataset.patterns.astype(float, copy=True)
-    # built once: m~ stays a nonnegative convex combination of nonnegative
-    # stacks, so the checks of Dataset hold in every round
-    adapted = replace(dataset, patterns=m_tilde)
     s = dataset.oversampling
     for _ in range(config.outer_rounds):
-        _sweeps(state, adapted, config.inner_rule, config.inner_mu,
+        _sweeps(state, dataset, config.inner_rule, config.inner_mu,
                 config.inner_sweeps)
         if state.all_failed():
             break
@@ -384,4 +388,17 @@ def adapt_constraints(dataset: Dataset, config: AdapterConfig,
                 m_tilde[j] *= 1.0 - config.mu_c
                 m_tilde[j] += config.mu_c * diffract(
                     exit_wave(state.object_estimate, dataset.probe, pos), s)
-    return state, m_tilde
+    return state
+
+
+def adapt_constraints(dataset: Dataset, config: AdapterConfig,
+                      init_object: Optional[np.ndarray] = None,
+                      true_object: Optional[np.ndarray] = None,
+                      mask: Optional[np.ndarray] = None,
+                      seed: int = 0):
+    """`adapt_in_place` on a float copy of the dataset's patterns, which
+    are kept. Returns (final state, final m~ stack)."""
+    adapted = replace(dataset, patterns=dataset.patterns.astype(float,
+                                                                copy=True))
+    return adapt_in_place(adapted, config, init_object, true_object, mask,
+                          seed), adapted.patterns

@@ -11,9 +11,11 @@ realizations form one stack; at oversampling 5 each realization is a stack
 of its own. The error-reduction warmup, which every scheme shares, runs
 once per stack, and each scheme refines a fork of the warmed stack. The
 adapter runs on the same stacks with no warmup, each scheme from the
-constant start. At oversampling 5 the schemes of a stack run concurrently
-on a thread pool; the results do not depend on it. A record's cells are
-its one source of truth: its per-scheme summaries are derived from them.
+constant start; each of its runs draws its own copy of the stack's noisy
+patterns and adapts that copy in place. At oversampling 5 the schemes of
+a stack (the adapter's runs) run concurrently on a thread pool; the
+results do not depend on it. A record's cells are its one source of
+truth: its per-scheme summaries are derived from them.
 """
 
 import hashlib
@@ -241,12 +243,12 @@ def _failed_cell(exc):
 
 def noisy_patterns(cfg: ExperimentConfig, clean, realizations):
     """The (P, R, h, w) noisy patterns of the given realizations of `cfg`'s
-    noise, drawn one realization at a time into one preallocated array."""
+    noise, each realization drawn straight into its slice of one array."""
     model = NoiseModel(cfg.noise_model)
     patterns = np.empty((len(clean), len(realizations)) + clean.shape[1:])
     for k, r in enumerate(realizations):
-        patterns[:, k] = noise.apply_noise(
-            clean, model, realization_seed(cfg.master_seed, r))
+        noise.apply_noise(clean, model, realization_seed(cfg.master_seed, r),
+                          out=patterns[:, k])
     return patterns
 
 
@@ -266,44 +268,64 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_stack(cfg, specs, adapter, dataset, truth, mask, group, cells,
-               pool):
-    """Every scheme on the stack of realizations `group`, from one shared
-    warmup (none for the adapter); updates cells[(scheme, realization)] and
-    returns the timings. With a thread `pool` the schemes run concurrently,
-    and their cells and times are still filled in spec order.
+def _run_tasks(run, tasks, cells, pool):
+    """Runs `run(group, spec)` for each (timing, group, spec) task and
+    turns the state it returns into cells[(scheme, realization)] and the
+    timing's scheme_s. With a thread `pool` the tasks run concurrently, and
+    their cells and times are still filled in task order.
 
     A cell fails where the engine recorded its realization as failed. An
     exception that leaves a run is a bug and ends the grid.
     """
+    def timed(task):
+        _, group, spec = task
+        t0 = time.perf_counter()
+        results = _stack_cells(run(group, spec), group)
+        return results, time.perf_counter() - t0
+
+    for (timing, _, spec), (results, seconds) in zip(
+            tasks, (pool.map if pool else map)(timed, tasks)):
+        for r, cell in results.items():
+            cells[(spec.id, r)].update(cell)
+        timing["scheme_s"][str(spec.id)] = seconds
+
+
+def _run_stack(cfg, specs, dataset, truth, mask, group, cells, pool):
+    """Every scheme on the stack of realizations `group`, each refining a
+    fork of one shared warmup; returns the stack's timings."""
     timing = {"realizations": len(group), "scheme_s": {}}
     t0 = time.perf_counter()
     # reconstruction seed is realization-independent: identical data must
     # give identical trajectories
-    warm = None if cfg.adapter else engine.warm_start(
-        dataset, cfg.warmup_iterations, true_object=truth, mask=mask,
-        seed=cfg.master_seed)
+    warm = engine.warm_start(dataset, cfg.warmup_iterations,
+                             true_object=truth, mask=mask,
+                             seed=cfg.master_seed)
     timing["warmup_s"] = time.perf_counter() - t0
-
-    def scheme_cells(spec):
-        t0 = time.perf_counter()
-        if cfg.adapter:
-            # drop the adapted targets at once: held through the next
-            # scheme's run they raise the peak memory by a pattern stack
-            state = engine.adapt_constraints(
-                dataset, replace(adapter, inner_rule=spec.refinement_rule,
-                                 inner_mu=spec.mu),
-                true_object=truth, mask=mask, seed=cfg.master_seed)[0]
-        else:
-            state = engine.refine(spec, dataset, warm.fork())
-        return _stack_cells(state, group), time.perf_counter() - t0
-
-    for spec, (results, seconds) in zip(
-            specs, (pool.map if pool else map)(scheme_cells, specs)):
-        for r, cell in results.items():
-            cells[(spec.id, r)].update(cell)
-        timing["scheme_s"][str(spec.id)] = seconds
+    _run_tasks(lambda group, spec: engine.refine(spec, dataset, warm.fork()),
+               [(timing, group, spec) for spec in specs], cells, pool)
     return timing
+
+
+def _run_adapter(cfg, specs, adapter, draw, truth, mask, groups, cells,
+                 pool):
+    """Every scheme's adapter run on every stack of realizations in
+    `groups`, one task per (group, scheme) pair. Each task draws its
+    group's dataset with `draw(group)` and adapts its patterns in place as
+    its m~, so no stack is shared between runs or outlives its run:
+    redrawing costs far less than holding a stack. Returns one timing per
+    group."""
+    def run(group, spec):
+        return engine.adapt_in_place(
+            draw(group), replace(adapter, inner_rule=spec.refinement_rule,
+                                 inner_mu=spec.mu),
+            true_object=truth, mask=mask, seed=cfg.master_seed)
+
+    timings = [{"realizations": len(group), "scheme_s": {}}
+               for group in groups]
+    _run_tasks(run, [(timing, group, spec)
+                     for timing, group in zip(timings, groups)
+                     for spec in specs], cells, pool)
+    return timings
 
 
 def environment(cfg: ExperimentConfig, workers: int) -> dict:
@@ -322,10 +344,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     # every realization's patterns at once
     groups = ([range(cfg.realizations)] if cfg.oversampling == 1
               else [[r] for r in range(cfg.realizations)])
-    # at oversampling 5 a stack's schemes run concurrently, one thread per
-    # CPU: their 160x160 transforms and elementwise math release the
-    # interpreter lock. The 32x32 sweeps at oversampling 1 hold it most of
-    # the time, and measured slower on threads than one after another.
+    # at oversampling 5 a stack's schemes (an adapter grid's runs) run
+    # concurrently, one thread per CPU: their 160x160 transforms and
+    # elementwise math release the interpreter lock. The 32x32 sweeps at
+    # oversampling 1 hold it most of the time, and measured slower on
+    # threads than one after another.
     workers = (1 if cfg.oversampling == 1
                else min(len(specs), usable_cpus()))
 
@@ -340,21 +363,28 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     record.cells = {(sid, r): {"seed": realization_seed(cfg.master_seed, r)}
                     for r in range(cfg.realizations)
                     for sid in cfg.scheme_ids}
-    timings = []
     pool = None
     if workers > 1:
         # loaded by its one user: concurrent.futures imports logging, which
         # would raise the peak memory of every run by about 0.5 MB
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
+
+    def draw(group):
+        return Dataset(geometry, noisy_patterns(cfg, clean, group), probe)
+
     try:
-        for group in groups:
-            patterns = noisy_patterns(cfg, clean, group)
-            dataset = Dataset(geometry, patterns, probe)
-            timings.append(_run_stack(cfg, specs, adapter, dataset, truth,
-                                      mask, group, record.cells, pool))
-            # free this stack's patterns before the next one is drawn
-            del patterns, dataset
+        if cfg.adapter:
+            timings = _run_adapter(cfg, specs, adapter, draw, truth, mask,
+                                   groups, record.cells, pool)
+        else:
+            timings = []
+            for group in groups:
+                dataset = draw(group)
+                timings.append(_run_stack(cfg, specs, dataset, truth, mask,
+                                          group, record.cells, pool))
+                # free this stack's patterns before the next one is drawn
+                del dataset
     finally:
         if pool is not None:
             # a bug in one scheme ends the run: drop the queued schemes
@@ -449,8 +479,8 @@ def export(record: ExperimentRecord, out_dir: str) -> dict:
 
 
 def load_record(path: str) -> ExperimentRecord:
-    """Load record.json back; verifies summary statistics against the
-    stored per-realization values."""
+    """Load record.json back; verifies each ok cell's final error against
+    its curve and the summary statistics against the cells."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
     record = ExperimentRecord(config=payload["config"],
@@ -459,14 +489,21 @@ def load_record(path: str) -> ExperimentRecord:
     for cell in payload["cells"]:
         sid, r = cell.pop("scheme"), cell.pop("realization")
         cell["curve"] = [(int(i), float(e)) for i, e in cell["curve"]]
+        if cell["ok"] and not (cell["curve"] and
+                               cell["final_error"] == cell["curve"][-1][1]):
+            raise ValueError(f"record self-consistency check failed for "
+                             f"scheme {sid}, realization {r}: final_error "
+                             f"is not the last error of its curve")
         record.cells[(sid, r)] = cell
     stored = {int(k): v for k, v in payload["summaries"].items()}
     derived = record.summaries
     for sid in sorted(stored.keys() | derived.keys()):
         want, got = derived.get(sid, {}), stored.get(sid, {})
         for key in sorted(want.keys() | got.keys()):
-            if not (key in want and key in got and np.isclose(
-                    want[key], got[key], rtol=1e-12, atol=1e-300)):
+            # a stored null or string is refused here, not by np.isclose
+            if not (key in want and key in got
+                    and isinstance(got[key], (int, float)) and np.isclose(
+                        want[key], got[key], rtol=1e-12, atol=1e-300)):
                 raise ValueError(f"record self-consistency check failed for "
                                  f"scheme {sid}, statistic {key!r}")
     return record

@@ -36,36 +36,54 @@ def _pattern_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def sample_poisson(means: np.ndarray, seed: int) -> np.ndarray:
+def _output(means: np.ndarray, out) -> np.ndarray:
+    """`out`, checked to hold one float per mean, or a new such array."""
+    if out is None:
+        return np.empty_like(means, dtype=float)
+    if out.shape != means.shape or out.dtype != float:
+        raise ValueError(f"out must be a float array of shape {means.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    return out
+
+
+def sample_poisson(means: np.ndarray, seed: int, out=None) -> np.ndarray:
     """Independent Poisson draws with the given per-pixel means (integer
-    counts, float array)."""
+    counts, float array), written into `out` when it is given."""
     if np.any(means < 0):
         raise ValueError("Poisson means must be nonnegative")
-    out = np.empty_like(means, dtype=float)
+    out = _output(means, out)
     for j in range(len(means)):
         out[j] = _pattern_rng(seed, j).poisson(means[j])
     return out
 
 
-def sample_speckle(means: np.ndarray, seed: int) -> np.ndarray:
+def sample_speckle(means: np.ndarray, seed: int, out=None) -> np.ndarray:
     """Independent exponential draws with the given per-pixel means
-    (fully developed speckle: intensity ~ Exp(mean))."""
+    (fully developed speckle: intensity ~ Exp(mean)), written into `out`
+    when it is given."""
     if np.any(means < 0):
         raise ValueError("speckle means must be nonnegative")
-    out = np.empty_like(means, dtype=float)
+    out = _output(means, out)
     for j in range(len(means)):
         u = _pattern_rng(seed, j).random(means[j].shape)  # [0, 1)
         out[j] = -means[j] * np.log1p(-u)                 # mean * Exp(1)
     return out
 
 
-def apply_noise(stack: np.ndarray, model: NoiseModel, seed: int) -> np.ndarray:
+def apply_noise(stack: np.ndarray, model: NoiseModel, seed: int,
+                out=None) -> np.ndarray:
+    """A draw of `model`'s noise on the mean stack, written into `out` (a
+    float array of the stack's shape) when it is given, so no second stack
+    is allocated; the draw is the same either way."""
     if model is NoiseModel.NOISE_FREE:
-        return stack.copy()
+        if out is None:
+            return stack.copy()
+        np.copyto(_output(stack, out), stack)
+        return out
     if model is NoiseModel.POISSON:
-        return sample_poisson(stack, seed)
+        return sample_poisson(stack, seed, out)
     if model is NoiseModel.SPECKLE:
-        return sample_speckle(stack, seed)
+        return sample_speckle(stack, seed, out)
     raise ValueError(f"unknown noise model {model!r}")
 
 

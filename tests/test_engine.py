@@ -506,6 +506,21 @@ def test_adapter_mixes_targets_in_place_bit_for_bit(stacked):
     assert np.array_equal(dataset.patterns, noisy)  # the input is kept
 
 
+def test_adapt_in_place_adapts_the_datasets_own_patterns():
+    truth, dataset = toy_problem(seed=14, oversampling=5)
+    noisy = pb.sample_speckle(dataset.patterns * 20, seed=3)
+    cfg = AdapterConfig(mu_c=0.3, inner_sweeps=2, outer_rounds=3)
+    state, m_tilde = adapt_constraints(
+        Dataset(dataset.geometry, noisy, dataset.probe), cfg, seed=4)
+    own = Dataset(dataset.geometry, noisy.copy(), dataset.probe)
+    in_place = pb.adapt_in_place(own, cfg, seed=4)
+    assert np.array_equal(own.patterns, m_tilde)
+    assert np.array_equal(in_place.object_estimate, state.object_estimate)
+    with pytest.raises(ValueError, match="adapted patterns must be float"):
+        pb.adapt_in_place(Dataset(dataset.geometry, noisy.astype(np.float32),
+                                  dataset.probe), cfg)
+
+
 def test_adapter_stops_once_every_slice_has_failed():
     truth, dataset = toy_problem(seed=16)
     diverged = np.full(dataset.geometry.object_dims, np.nan, dtype=complex)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,23 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
                 (i, float(e)) for i, e in single.error_log]
 
 
+def own_adapter_curve(cfg, sid, r):
+    """The error curve of scheme `sid`'s own 2D adapter run on realization
+    `r` of `cfg`, as `adapt_constraints` gives it."""
+    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
+    patterns = apply_noise(clean, NoiseModel(cfg.noise_model),
+                           realization_seed(cfg.master_seed, r))
+    adapter_cfg = ptybench.engine.AdapterConfig(
+        mu_c=cfg.adapter_mu_c, inner_sweeps=cfg.adapter_inner_sweeps,
+        outer_rounds=cfg.adapter_outer_rounds,
+        inner_rule=ptybench.engine.SCHEMES[sid].refinement_rule,
+        inner_mu=ptybench.engine.SCHEMES[sid].mu)
+    state = ptybench.engine.adapt_constraints(
+        Dataset(geometry, patterns, probe), adapter_cfg, true_object=truth,
+        mask=mask, seed=cfg.master_seed)[0]
+    return [(i, float(e)) for i, e in state.error_log]
+
+
 def test_adapter_grid_runs_all_realizations_as_one_stack():
     cfg = small_config(adapter=True, realizations=2, scheme_ids=(1, 9),
                        adapter_inner_sweeps=2, adapter_outer_rounds=3)
@@ -342,21 +360,58 @@ def test_adapter_grid_runs_all_realizations_as_one_stack():
     (stack,) = record.meta["timings"]
     assert stack["realizations"] == 2
     # each slice of the stack gives the realization's own 2D adapter run
-    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
     for r in range(2):
-        patterns = apply_noise(clean, NoiseModel.POISSON,
-                               realization_seed(cfg.master_seed, r))
-        dataset = Dataset(geometry, patterns, probe)
         for sid in cfg.scheme_ids:
-            adapter_cfg = ptybench.engine.AdapterConfig(
-                mu_c=cfg.adapter_mu_c, inner_sweeps=2, outer_rounds=3,
-                inner_rule=ptybench.engine.SCHEMES[sid].refinement_rule,
-                inner_mu=ptybench.engine.SCHEMES[sid].mu)
-            single = ptybench.engine.adapt_constraints(
-                dataset, adapter_cfg, true_object=truth, mask=mask,
-                seed=cfg.master_seed)[0]
-            assert record.cells[(sid, r)]["curve"] == [
-                (i, float(e)) for i, e in single.error_log]
+            assert record.cells[(sid, r)]["curve"] == own_adapter_curve(
+                cfg, sid, r)
+
+
+def test_oversampled_adapter_runs_each_adapt_their_own_patterns():
+    cfg = small_config(oversampling=5, adapter=True, realizations=2,
+                       scheme_ids=(9, 1), adapter_inner_sweeps=1,
+                       adapter_outer_rounds=3)
+    # switch threads often, so the pooled runs interleave finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        record = run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert record.meta["environment"]["workers"] == 2
+    assert [t["realizations"] for t in record.meta["timings"]] == [1, 1]
+    assert all(list(t["scheme_s"]) == ["9", "1"]
+               for t in record.meta["timings"])
+    for r in range(2):
+        for sid in cfg.scheme_ids:
+            assert record.cells[(sid, r)]["curve"] == own_adapter_curve(
+                cfg, sid, r)
+
+
+def test_adapter_grid_holds_one_pattern_stack_per_run(monkeypatch):
+    # one run at a time: at its peak the grid holds the clean stack and the
+    # run's own patterns, adapted in place; a shared noisy stack beside an
+    # adapted copy, or a draw through a temporary stack, would hold two.
+    # 225 positions of 40x40 patterns (2.9 MB a stack) outweigh the
+    # temporaries of one position update.
+    monkeypatch.setattr(ptybench.harness, "usable_cpus", lambda: 1)
+    cfg = small_config(object_dims=(64, 64), window=(8, 8), scan_step=4,
+                       probe_radius=3.0, oversampling=5, adapter=True,
+                       realizations=2, scheme_ids=(1, 9),
+                       adapter_inner_sweeps=1, adapter_outer_rounds=2)
+    stack_bytes = build_problem(cfg)[4].nbytes
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        record = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert record.meta["environment"]["workers"] == 1
+    assert all(cell["ok"] for cell in record.cells.values())
+    assert peak < 2.5 * stack_bytes  # the clean stack + 1.5 pattern stacks
 
 
 def test_programming_error_propagates(monkeypatch):
@@ -563,6 +618,40 @@ def test_load_checks_summaries_against_cells_both_ways(monkeypatch, tmp_path,
     with open(paths["record.json"], "w") as f:
         json.dump(payload, f)
     with pytest.raises(ValueError, match="self-consistency"):
+        load_record(paths["record.json"])
+
+
+@pytest.mark.parametrize("final_error", [0.5, None, "0.5"],
+                         ids=["off_curve", "null", "string"])
+def test_load_refuses_a_final_error_off_its_curve(tmp_path, final_error):
+    record = run_experiment(small_config(scheme_ids=(1,), realizations=1))
+    paths = export(record, str(tmp_path))
+    with open(paths["record.json"]) as f:
+        payload = json.load(f)
+    (cell,) = payload["cells"]
+    cell["final_error"] = final_error
+    if isinstance(final_error, float):
+        # the summary agrees with the tampered value: only the curve does not
+        payload["summaries"]["1"].update(median=final_error, mean=final_error,
+                                         min=final_error, max=final_error)
+    with open(paths["record.json"], "w") as f:
+        json.dump(payload, f)
+    with pytest.raises(ValueError, match="self-consistency.*realization 0: "
+                                         "final_error is not the last error"):
+        load_record(paths["record.json"])
+
+
+@pytest.mark.parametrize("value", [None, "0.5", [0.5]],
+                         ids=["null", "string", "list"])
+def test_load_refuses_a_statistic_that_is_not_a_number(tmp_path, value):
+    record = run_experiment(small_config(scheme_ids=(1,), realizations=1))
+    paths = export(record, str(tmp_path))
+    with open(paths["record.json"]) as f:
+        payload = json.load(f)
+    payload["summaries"]["1"]["median"] = value
+    with open(paths["record.json"], "w") as f:
+        json.dump(payload, f)
+    with pytest.raises(ValueError, match="scheme 1, statistic 'median'"):
         load_record(paths["record.json"])
 
 

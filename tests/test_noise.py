@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ptybench import (poisson_log_pmf, sample_poisson, sample_speckle,
-                      scale_to_budget)
+from ptybench import (NoiseModel, apply_noise, poisson_log_pmf,
+                      sample_poisson, sample_speckle, scale_to_budget)
 
 
 # --- photon budget -----------------------------------------------------------
@@ -106,6 +106,26 @@ def test_pattern_substreams_independent_of_stack_size():
     full = sample_poisson(means, seed=11)
     partial = sample_poisson(means[:2], seed=11)
     assert np.array_equal(full[:2], partial)
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_apply_noise_into_out_matches_the_returned_draw(model):
+    means = np.random.default_rng(4).random((3, 8, 8)) * 10
+    # a strided slice of a realization stack, as a grid draws into
+    stack = np.full((3, 2, 8, 8), np.nan)
+    buf = stack[:, 1]
+    assert apply_noise(means, model, 21, out=buf) is buf
+    assert np.array_equal(buf, apply_noise(means, model, 21))
+    assert np.isnan(stack[:, 0]).all()  # nothing written outside out
+
+
+@pytest.mark.parametrize("out", [np.empty((3, 8, 7)), np.empty((2, 3, 8, 8)),
+                                 np.empty((3, 8, 8), dtype=np.float32)],
+                         ids=["shape", "broadcast", "dtype"])
+def test_apply_noise_refuses_an_out_that_is_not_the_stack(out):
+    for model in NoiseModel:
+        with pytest.raises(ValueError, match="out must be a float array"):
+            apply_noise(np.ones((3, 8, 8)), model, 0, out=out)
 
 
 @pytest.mark.parametrize("budget", [1e3, 1e4, 1e5])
