@@ -6,16 +6,17 @@ noise realization draws an independent noisy stack (substream keyed by
 master seed and realization index) and reconstructs it with every
 requested scheme. Everything is deterministic given the master seed.
 
-Every grid runs on realization stacks: at oversampling 1 all
+Every grid runs stack by stack through one loop: at oversampling 1 all
 realizations form one stack; at oversampling 5 each realization is a stack
-of its own. The error-reduction warmup, which every scheme shares, runs
-once per stack, and each scheme refines a fork of the warmed stack. The
-adapter runs on the same stacks with no warmup, each scheme from the
-constant start; each of its runs draws its own copy of the stack's noisy
-patterns and adapts that copy in place. At oversampling 5 the schemes of
-a stack (the adapter's runs) run concurrently on a thread pool; the
-results do not depend on it. A record's cells are its one source of
-truth: its per-scheme summaries are derived from them.
+of its own. The grids differ only in how one scheme runs on a stack. By
+default the error-reduction warmup, which every scheme shares, runs once
+per stack, and each scheme refines a fork of the warmed stack. The adapter
+runs each scheme from the constant start with no warmup, on its own copy
+of the stack's noisy patterns, drawn for the run and adapted in place. At
+oversampling 5 the schemes of a stack run concurrently on a thread pool;
+the results do not depend on it, and the next stack starts when the last
+of them ends. A record's cells are its one source of truth: its
+per-scheme summaries are derived from them.
 """
 
 import hashlib
@@ -231,16 +232,6 @@ def realization_seed(master_seed: int, realization: int) -> int:
         [int(master_seed), int(realization)]).generate_state(1)[0])
 
 
-def _ok_cell(curve):
-    curve = [(int(i), float(e)) for i, e in curve]
-    return {"ok": True, "curve": curve, "final_error": curve[-1][1]}
-
-
-def _failed_cell(exc):
-    return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
-            "curve": [], "final_error": None}
-
-
 def noisy_patterns(cfg: ExperimentConfig, clean, realizations):
     """The (P, R, h, w) noisy patterns of the given realizations of `cfg`'s
     noise, each realization drawn straight into its slice of one array."""
@@ -255,9 +246,17 @@ def noisy_patterns(cfg: ExperimentConfig, clean, realizations):
 def _stack_cells(state, group):
     """The cells of one scheme's run on the stack of realizations `group`,
     keyed by realization."""
-    return {r: _failed_cell(state.failures[k]) if k in state.failures
-            else _ok_cell((i, e[k]) for i, e in state.error_log)
-            for k, r in enumerate(group)}
+    cells = {}
+    for k, r in enumerate(group):
+        if k in state.failures:
+            exc = state.failures[k]
+            cells[r] = {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                        "curve": [], "final_error": None}
+        else:
+            curve = [(int(i), float(e[k])) for i, e in state.error_log]
+            cells[r] = {"ok": True, "curve": curve,
+                        "final_error": curve[-1][1]}
+    return cells
 
 
 def usable_cpus() -> int:
@@ -268,64 +267,50 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_tasks(run, tasks, cells, pool):
-    """Runs `run(group, spec)` for each (timing, group, spec) task and
-    turns the state it returns into cells[(scheme, realization)] and the
-    timing's scheme_s. With a thread `pool` the tasks run concurrently, and
-    their cells and times are still filled in task order.
+def _run_stack(cfg, problem, group, cells, pool):
+    """Runs every scheme on the stack of realizations `group`, fills their
+    cells and returns the stack's timings. By default the stack is drawn
+    once and each scheme refines a fork of one shared warmup. Each adapter
+    run draws its own copy and adapts it in place as its m~: redrawing
+    costs far less than holding a stack. On a thread `pool` the schemes run
+    concurrently, and their cells and times are still filled in spec order.
+    A cell fails where the engine recorded its realization as failed; an
+    exception that leaves a run is a bug and ends the grid."""
+    truth, probe, geometry, mask, clean, specs, adapter = problem
+    timing = {"realizations": len(group), "scheme_s": {}}
 
-    A cell fails where the engine recorded its realization as failed. An
-    exception that leaves a run is a bug and ends the grid.
-    """
-    def timed(task):
-        _, group, spec = task
+    def draw():
+        return Dataset(geometry, noisy_patterns(cfg, clean, group), probe)
+
+    if cfg.adapter:
+        def run(spec):
+            return engine.adapt_in_place(
+                draw(), replace(adapter, inner_rule=spec.refinement_rule,
+                                inner_mu=spec.mu),
+                true_object=truth, mask=mask, seed=cfg.master_seed)
+    else:
+        dataset = draw()
         t0 = time.perf_counter()
-        results = _stack_cells(run(group, spec), group)
-        return results, time.perf_counter() - t0
+        # reconstruction seed is realization-independent: identical data
+        # must give identical trajectories
+        warm = engine.warm_start(dataset, cfg.warmup_iterations,
+                                 true_object=truth, mask=mask,
+                                 seed=cfg.master_seed)
+        timing["warmup_s"] = time.perf_counter() - t0
 
-    for (timing, _, spec), (results, seconds) in zip(
-            tasks, (pool.map if pool else map)(timed, tasks)):
+        def run(spec):
+            return engine.refine(spec, dataset, warm.fork())
+
+    def timed(spec):
+        t0 = time.perf_counter()
+        return _stack_cells(run(spec), group), time.perf_counter() - t0
+
+    for spec, (results, seconds) in zip(
+            specs, (pool.map if pool else map)(timed, specs)):
         for r, cell in results.items():
             cells[(spec.id, r)].update(cell)
         timing["scheme_s"][str(spec.id)] = seconds
-
-
-def _run_stack(cfg, specs, dataset, truth, mask, group, cells, pool):
-    """Every scheme on the stack of realizations `group`, each refining a
-    fork of one shared warmup; returns the stack's timings."""
-    timing = {"realizations": len(group), "scheme_s": {}}
-    t0 = time.perf_counter()
-    # reconstruction seed is realization-independent: identical data must
-    # give identical trajectories
-    warm = engine.warm_start(dataset, cfg.warmup_iterations,
-                             true_object=truth, mask=mask,
-                             seed=cfg.master_seed)
-    timing["warmup_s"] = time.perf_counter() - t0
-    _run_tasks(lambda group, spec: engine.refine(spec, dataset, warm.fork()),
-               [(timing, group, spec) for spec in specs], cells, pool)
     return timing
-
-
-def _run_adapter(cfg, specs, adapter, draw, truth, mask, groups, cells,
-                 pool):
-    """Every scheme's adapter run on every stack of realizations in
-    `groups`, one task per (group, scheme) pair. Each task draws its
-    group's dataset with `draw(group)` and adapts its patterns in place as
-    its m~, so no stack is shared between runs or outlives its run:
-    redrawing costs far less than holding a stack. Returns one timing per
-    group."""
-    def run(group, spec):
-        return engine.adapt_in_place(
-            draw(group), replace(adapter, inner_rule=spec.refinement_rule,
-                                 inner_mu=spec.mu),
-            true_object=truth, mask=mask, seed=cfg.master_seed)
-
-    timings = [{"realizations": len(group), "scheme_s": {}}
-               for group in groups]
-    _run_tasks(run, [(timing, group, spec)
-                     for timing, group in zip(timings, groups)
-                     for spec in specs], cells, pool)
-    return timings
 
 
 def environment(cfg: ExperimentConfig, workers: int) -> dict:
@@ -338,19 +323,18 @@ def environment(cfg: ExperimentConfig, workers: int) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
-    truth, probe, geometry, mask, clean, specs, adapter = build_problem(cfg)
+    problem = build_problem(cfg)
     # all realizations as one stack at oversampling 1; at oversampling 5
     # batching 160x160 transforms gains nothing, and one stack would hold
     # every realization's patterns at once
     groups = ([range(cfg.realizations)] if cfg.oversampling == 1
               else [[r] for r in range(cfg.realizations)])
-    # at oversampling 5 a stack's schemes (an adapter grid's runs) run
-    # concurrently, one thread per CPU: their 160x160 transforms and
-    # elementwise math release the interpreter lock. The 32x32 sweeps at
-    # oversampling 1 hold it most of the time, and measured slower on
-    # threads than one after another.
+    # at oversampling 5 a stack's schemes run concurrently, one thread per
+    # CPU: their 160x160 transforms and elementwise math release the
+    # interpreter lock. The 32x32 sweeps at oversampling 1 hold it most of
+    # the time, and measured slower on threads than one after another.
     workers = (1 if cfg.oversampling == 1
-               else min(len(specs), usable_cpus()))
+               else min(len(cfg.scheme_ids), usable_cpus()))
 
     # normalize tuples to lists so the in-memory record equals its JSON
     # round trip
@@ -370,26 +354,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
 
-    def draw(group):
-        return Dataset(geometry, noisy_patterns(cfg, clean, group), probe)
-
     try:
-        if cfg.adapter:
-            timings = _run_adapter(cfg, specs, adapter, draw, truth, mask,
-                                   groups, record.cells, pool)
-        else:
-            timings = []
-            for group in groups:
-                dataset = draw(group)
-                timings.append(_run_stack(cfg, specs, dataset, truth, mask,
-                                          group, record.cells, pool))
-                # free this stack's patterns before the next one is drawn
-                del dataset
+        record.meta["timings"] = [
+            _run_stack(cfg, problem, group, record.cells, pool)
+            for group in groups]
     finally:
         if pool is not None:
             # a bug in one scheme ends the run: drop the queued schemes
             pool.shutdown(cancel_futures=True)
-    record.meta["timings"] = timings
     return record
 
 
@@ -478,32 +450,59 @@ def export(record: ExperimentRecord, out_dir: str) -> dict:
     return paths
 
 
+def _check(ok, fault):
+    if not ok:
+        raise ValueError(f"malformed record: {fault}")
+
+
 def load_record(path: str) -> ExperimentRecord:
-    """Load record.json back; verifies each ok cell's final error against
-    its curve and the summary statistics against the cells."""
+    """Load record.json back. A record not shaped as `export` writes it,
+    whose cells are not exactly its config's scheme x realization grid, or
+    whose stored values are not those of its cells is refused."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
-    record = ExperimentRecord(config=payload["config"],
-                              config_hash=payload["config_hash"],
+    _check(isinstance(payload, dict), "not a JSON object")
+    for name, kind in (("config", dict), ("config_hash", str),
+                       ("cells", list), ("summaries", dict)):
+        _check(isinstance(payload.get(name), kind),
+               f"{name!r} is missing or not a {kind.__name__}")
+    ids, count = map(payload["config"].get, ("scheme_ids", "realizations"))
+    # JSON ints: no bool or float that compares equal to one
+    _check(isinstance(ids, list)
+           and all(type(v) is int for v in ids + [count]),
+           "its config names no scheme_ids x realizations grid")
+    grid = {(sid, r) for sid in ids for r in range(count)}
+    record = ExperimentRecord(payload["config"], payload["config_hash"],
                               meta=payload.get("meta", {}))
-    for cell in payload["cells"]:
-        sid, r = cell.pop("scheme"), cell.pop("realization")
+    for n, cell in enumerate(payload["cells"]):
+        _check(isinstance(cell, dict) and isinstance(cell.get("ok"), bool)
+               and isinstance(cell.get("curve"), list)
+               and {"scheme", "realization", "final_error"} <= cell.keys(),
+               f"cell {n} is not an object with a boolean ok, a curve list, "
+               f"a scheme, realization and final_error")
+        key = sid, r = cell.pop("scheme"), cell.pop("realization")
+        _check(type(sid) is int and type(r) is int and key in grid,
+               f"cell {n} (scheme {sid!r}, realization {r!r}) is off the grid")
+        _check(key not in record.cells, f"cell {n} repeats cell {key}")
         cell["curve"] = [(int(i), float(e)) for i, e in cell["curve"]]
-        if cell["ok"] and not (cell["curve"] and
-                               cell["final_error"] == cell["curve"][-1][1]):
-            raise ValueError(f"record self-consistency check failed for "
-                             f"scheme {sid}, realization {r}: final_error "
-                             f"is not the last error of its curve")
-        record.cells[(sid, r)] = cell
-    stored = {int(k): v for k, v in payload["summaries"].items()}
-    derived = record.summaries
-    for sid in sorted(stored.keys() | derived.keys()):
-        want, got = derived.get(sid, {}), stored.get(sid, {})
+        _check(not cell["ok"] or cell["curve"] and
+               cell["final_error"] == cell["curve"][-1][1],
+               f"self-consistency check failed for scheme {sid}, realization "
+               f"{r}: final_error is not the last error of its curve")
+        record.cells[key] = cell
+    _check(record.cells.keys() == grid, f"no cell for (scheme, realization) "
+           f"{sorted(grid - record.cells.keys())}")
+    # keyed as export writes them
+    derived = {str(sid): stats for sid, stats in record.summaries.items()}
+    for sid in sorted(payload["summaries"].keys() | derived.keys()):
+        want, got = derived.get(sid, {}), payload["summaries"].get(sid, {})
+        _check(isinstance(got, dict),
+               f"the summary of scheme {sid} is not an object")
         for key in sorted(want.keys() | got.keys()):
             # a stored null or string is refused here, not by np.isclose
-            if not (key in want and key in got
-                    and isinstance(got[key], (int, float)) and np.isclose(
-                        want[key], got[key], rtol=1e-12, atol=1e-300)):
-                raise ValueError(f"record self-consistency check failed for "
-                                 f"scheme {sid}, statistic {key!r}")
+            _check(key in want and key in got
+                   and isinstance(got[key], (int, float)) and np.isclose(
+                       want[key], got[key], rtol=1e-12, atol=1e-300),
+                   f"self-consistency check failed for scheme {sid}, "
+                   f"statistic {key!r}")
     return record

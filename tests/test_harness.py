@@ -387,6 +387,36 @@ def test_oversampled_adapter_runs_each_adapt_their_own_patterns():
                 cfg, sid, r)
 
 
+def test_oversampled_adapter_grid_runs_one_stack_at_a_time(monkeypatch):
+    # 3 runs per stack on 2 threads: a pool that took the next stack's runs
+    # while this stack's last run is still going would interleave the stacks
+    monkeypatch.setattr(ptybench.harness, "usable_cpus", lambda: 2)
+    cfg = small_config(oversampling=5, adapter=True, realizations=2,
+                       scheme_ids=(1, 2, 3), adapter_inner_sweeps=1,
+                       adapter_outer_rounds=2)
+    clean = build_problem(cfg)[4]
+    draws = [ptybench.harness.noisy_patterns(cfg, clean, [r])
+             for r in range(2)]
+    original = ptybench.engine.adapt_in_place
+    events = []
+
+    def logged(dataset, *args, **kwargs):
+        # a run's patterns are its realization's draw until it adapts them
+        (r,) = [r for r, drawn in enumerate(draws)
+                if np.array_equal(dataset.patterns, drawn)]
+        events.append(("start", r))
+        state = original(dataset, *args, **kwargs)
+        events.append(("end", r))
+        return state
+
+    monkeypatch.setattr(ptybench.engine, "adapt_in_place", logged)
+    record = run_experiment(cfg)
+    assert record.meta["environment"]["workers"] == 2
+    assert all(cell["ok"] for cell in record.cells.values())
+    # every run of realization 0 ends before any run of realization 1 starts
+    assert [r for _, r in events] == [0] * 6 + [1] * 6
+
+
 def test_adapter_grid_holds_one_pattern_stack_per_run(monkeypatch):
     # one run at a time: at its peak the grid holds the clean stack and the
     # run's own patterns, adapted in place; a shared noisy stack beside an
@@ -652,6 +682,46 @@ def test_load_refuses_a_statistic_that_is_not_a_number(tmp_path, value):
     with open(paths["record.json"], "w") as f:
         json.dump(payload, f)
     with pytest.raises(ValueError, match="scheme 1, statistic 'median'"):
+        load_record(paths["record.json"])
+
+
+@pytest.mark.parametrize("tamper, fault", [
+    (lambda p: p["summaries"].update({"1": None}),
+     "the summary of scheme 1 is not an object"),
+    (lambda p: p.pop("summaries"), "'summaries' is missing"),
+    (lambda p: p.update(cells=None), "'cells' is missing or not a list"),
+    (lambda p: p["cells"][0].pop("ok"), "cell 0 is not an object with"),
+    (lambda p: p["cells"][1].pop("curve"), "cell 1 is not an object with"),
+    (lambda p: p["cells"][0].update(ok="yes"),
+     "cell 0 is not an object with a boolean ok,"),
+    (lambda p: p["cells"][0].update(scheme="1"),
+     "cell 0 \\(scheme '1', realization 0\\) is off the grid"),
+    (lambda p: p["cells"][0].update(scheme=3),
+     "cell 0 \\(scheme 3, realization 0\\) is off the grid"),
+    (lambda p: p["cells"][0].update(curve=None),
+     "cell 0 is not an object with a boolean ok, a curve list"),
+    (lambda p: p["cells"].append(dict(p["cells"][-1])),
+     re.escape("cell 4 repeats cell (2, 1)")),
+    (lambda p: p["cells"].pop(),
+     re.escape("no cell for (scheme, realization) [(2, 1)]")),
+    (lambda p: p["config"].update(realizations=None),
+     "its config names no scheme_ids x realizations grid"),
+], ids=["null_summary", "no_summaries", "null_cells", "cell_without_ok",
+        "cell_without_curve", "string_ok", "string_scheme",
+        "scheme_off_the_grid", "null_curve", "duplicated_cell",
+        "missing_cell", "no_grid"])
+def test_load_refuses_a_malformed_record(tmp_path, tamper, fault):
+    record = run_experiment(small_config(realizations=2,
+                                         warmup_iterations=2,
+                                         refinement_iterations=2))
+    paths = export(record, str(tmp_path))
+    assert load_record(paths["record.json"]).cells == record.cells
+    with open(paths["record.json"]) as f:
+        payload = json.load(f)
+    tamper(payload)
+    with open(paths["record.json"], "w") as f:
+        json.dump(payload, f)
+    with pytest.raises(ValueError, match=f"malformed record: {fault}"):
         load_record(paths["record.json"])
 
 
