@@ -78,8 +78,9 @@ def _cmd_simulate(args):
     _check_non_negative("--realization", args.realization)
     output = _check_output_dir("output", args.output)
     cfg = _read_config(args.config)
-    truth, probe, geometry, _, clean, _, _ = harness.build_problem(cfg)
-    patterns = harness.noisy_patterns(cfg, clean, [args.realization])[:, 0]
+    problem = harness.build_problem(cfg)
+    truth, probe, geometry = problem[:3]
+    patterns = harness.noisy_patterns(cfg, problem, [args.realization])[:, 0]
     dataset = Dataset(geometry, patterns, probe)
     _save_dataset(output, dataclasses.asdict(cfg), dataset, truth)
     print(f"wrote {output}: {len(patterns)} patterns of "

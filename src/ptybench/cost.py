@@ -58,7 +58,14 @@ class Transform:
         convention: a dark estimate carries no phase information)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             f, d = self.fwd_deriv(z)
-            R = 2.0 * (f - self.fwd(y)) * d * G
+            if f is z:  # identity: z is read again below
+                f = f.copy()
+            # 2.0 * (f - T(y)) * d * G in its left-to-right order, in place:
+            # the same bits without a temporary per step
+            f -= self.fwd(y)
+            f *= 2.0
+            f *= d
+            R = f * G
         R[z == 0] = 0
         return R
 
@@ -188,7 +195,9 @@ def gradient_residual(functional, G: np.ndarray, y: np.ndarray) -> np.ndarray:
     `residual` gives its formula."""
     if G.shape != y.shape:
         raise ValueError(f"shape mismatch: G {G.shape} vs y {y.shape}")
-    return functional.residual(G, np.abs(G) ** 2, y)
+    z = np.abs(G)
+    z *= z  # |G|^2, the bits of np.abs(G) ** 2
+    return functional.residual(G, z, y)
 
 
 def taylor_gap(z: float, y: float) -> float:

@@ -223,9 +223,11 @@ def effective_object(obj: np.ndarray, mode: Mode) -> np.ndarray:
 
 def simulate_dataset(obj: np.ndarray, probe: np.ndarray,
                      geometry: ScanGeometry, mode: Mode,
-                     oversampling: int = 1) -> np.ndarray:
+                     oversampling: int = 1, out=None) -> np.ndarray:
     """Noise-free intensity stack, shape (n_positions, s*wh, s*ww); an
     object stack (R, H, W) gives the batched (n_positions, R, s*wh, s*ww).
+    It is written into `out` (a float array of that shape, such as one
+    realization's slice of a pattern stack) when it is given.
 
     Fourier-space mode runs the identical pipeline on dft2(obj); the probe
     then plays the role of the pupil aperture.
@@ -233,11 +235,16 @@ def simulate_dataset(obj: np.ndarray, probe: np.ndarray,
     effective = effective_object(obj, mode)
     wh, ww = geometry.window
     s = oversampling
-    stack = np.empty((len(geometry.positions),) + obj.shape[:-2]
-                     + (s * wh, s * ww))
+    shape = ((len(geometry.positions),) + obj.shape[:-2]
+             + (s * wh, s * ww))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != float:
+        raise ValueError(f"out must be a float array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
     for j, pos in enumerate(geometry.positions):
-        stack[j] = diffract(exit_wave(effective, probe, pos), s)
-    return stack
+        out[j] = diffract(exit_wave(effective, probe, pos), s)
+    return out
 
 
 def synthesize_object(kind: str, dims: tuple,

@@ -1,10 +1,13 @@
 """Benchmark harness: experiment configuration, multi-realization runs,
 paired scheme comparison, and CSV/JSON persistence.
 
-An experiment simulates one noise-free intensity stack, then for each
-noise realization draws an independent noisy stack (substream keyed by
-master seed and realization index) and reconstructs it with every
-requested scheme. Everything is deterministic given the master seed.
+An experiment fixes one scale that brings its noise-free intensities to
+the photon budget, then for each noise realization draws an independent
+noisy stack (substream keyed by master seed and realization index) and
+reconstructs it with every requested scheme. The grid holds no noise-free
+stack: each draw simulates its realization's means into its own pattern
+buffer, scales them and draws the noise over them in place. Everything is
+deterministic given the master seed.
 
 Every grid runs stack by stack through one loop: at oversampling 1 all
 realizations form one stack; at oversampling 5 each realization is a stack
@@ -208,8 +211,10 @@ def _summary_stats(errors):
 
 def build_problem(cfg: ExperimentConfig):
     """Validate a config and build its inputs. Returns (effective truth,
-    probe, geometry, mask, noise-free stack, scheme specs, adapter settings)
-    with everything `validate()` built."""
+    probe, geometry, mask, photon-budget scale, scheme specs, adapter
+    settings) with everything `validate()` built. The noise-free patterns
+    are simulated once, one at a time, to fix the scale, and none is kept:
+    each draw simulates its own means (`noisy_patterns`)."""
     mode, _, geometry, probe, truth, specs, adapter = cfg.validate()
     if mode is Mode.FOURIER_SPACE:
         # modulate by (-1)^(x+y) so the object's spectrum is centered in
@@ -218,12 +223,16 @@ def build_problem(cfg: ExperimentConfig):
         h, w = cfg.object_dims
         truth = truth * (-1.0) ** np.add.outer(np.arange(h), np.arange(w))
     truth = forward.effective_object(truth, mode)
-    # truth is the effective object in both modes: simulate it as real space
-    clean = forward.simulate_dataset(truth, probe, geometry, Mode.REAL_SPACE,
-                                     cfg.oversampling)
-    clean = noise.scale_to_budget(clean, cfg.photon_budget)
+    # truth is the effective object in both modes: simulate it as real
+    # space, pattern by pattern, as simulate_dataset does. The scale needs
+    # only each pattern's total, and a whole stack freed here would stay
+    # resident in this thread's heap for the rest of the process.
+    scale = noise.budget_scale(
+        (forward.diffract(forward.exit_wave(truth, probe, pos),
+                          cfg.oversampling) for pos in geometry.positions),
+        cfg.photon_budget)
     mask = metrics.illumination_mask(probe, geometry)
-    return truth, probe, geometry, mask, clean, specs, adapter
+    return truth, probe, geometry, mask, scale, specs, adapter
 
 
 def realization_seed(master_seed: int, realization: int) -> int:
@@ -232,14 +241,24 @@ def realization_seed(master_seed: int, realization: int) -> int:
         [int(master_seed), int(realization)]).generate_state(1)[0])
 
 
-def noisy_patterns(cfg: ExperimentConfig, clean, realizations):
+def noisy_patterns(cfg: ExperimentConfig, problem, realizations):
     """The (P, R, h, w) noisy patterns of the given realizations of `cfg`'s
-    noise, each realization drawn straight into its slice of one array."""
+    noise on `problem`, the inputs `build_problem` built. Each realization's
+    noise-free means are simulated straight into its slice of one array,
+    scaled to the photon budget and drawn over there, so no noise-free
+    stack is held beside the draw."""
+    truth, probe, geometry, _, scale = problem[:5]
     model = NoiseModel(cfg.noise_model)
-    patterns = np.empty((len(clean), len(realizations)) + clean.shape[1:])
+    s = cfg.oversampling
+    patterns = np.empty((len(geometry.positions), len(realizations))
+                        + tuple(s * n for n in geometry.window))
     for k, r in enumerate(realizations):
-        noise.apply_noise(clean, model, realization_seed(cfg.master_seed, r),
-                          out=patterns[:, k])
+        means = forward.simulate_dataset(truth, probe, geometry,
+                                         Mode.REAL_SPACE, s,
+                                         out=patterns[:, k])
+        means *= scale
+        noise.apply_noise(means, model, realization_seed(cfg.master_seed, r),
+                          out=means)
     return patterns
 
 
@@ -276,11 +295,11 @@ def _run_stack(cfg, problem, group, cells, pool):
     concurrently, and their cells and times are still filled in spec order.
     A cell fails where the engine recorded its realization as failed; an
     exception that leaves a run is a bug and ends the grid."""
-    truth, probe, geometry, mask, clean, specs, adapter = problem
+    truth, probe, geometry, mask, _, specs, adapter = problem
     timing = {"realizations": len(group), "scheme_s": {}}
 
     def draw():
-        return Dataset(geometry, noisy_patterns(cfg, clean, group), probe)
+        return Dataset(geometry, noisy_patterns(cfg, problem, group), probe)
 
     if cfg.adapter:
         def run(spec):
@@ -484,7 +503,14 @@ def load_record(path: str) -> ExperimentRecord:
         _check(type(sid) is int and type(r) is int and key in grid,
                f"cell {n} (scheme {sid!r}, realization {r!r}) is off the grid")
         _check(key not in record.cells, f"cell {n} repeats cell {key}")
-        cell["curve"] = [(int(i), float(e)) for i, e in cell["curve"]]
+        for k, entry in enumerate(cell["curve"]):
+            # JSON numbers: an int iteration, an int or float error
+            _check(isinstance(entry, list) and len(entry) == 2
+                   and type(entry[0]) is int
+                   and type(entry[1]) in (int, float),
+                   f"cell {n} curve entry {k} is not an [iteration, error] "
+                   f"pair")
+        cell["curve"] = [(i, float(e)) for i, e in cell["curve"]]
         _check(not cell["ok"] or cell["curve"] and
                cell["final_error"] == cell["curve"][-1][1],
                f"self-consistency check failed for scheme {sid}, realization "

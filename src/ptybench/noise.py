@@ -17,9 +17,11 @@ class NoiseModel(Enum):
     SPECKLE = "speckle"
 
 
-def scale_to_budget(stack: np.ndarray, photons_per_pattern: float) -> np.ndarray:
-    """Scale a stack by one global factor so the mean per-pattern total
-    intensity equals the photon budget.
+def budget_scale(stack, photons_per_pattern: float) -> float:
+    """The one global factor that scales a stack so the mean per-pattern
+    total intensity equals the photon budget. `stack` is an array of
+    patterns or any iterable of them, such as patterns simulated one at a
+    time.
 
     A single scalar preserves relative brightness across positions.
     """
@@ -29,7 +31,12 @@ def scale_to_budget(stack: np.ndarray, photons_per_pattern: float) -> np.ndarray
     mean_total = np.mean([p.sum() for p in stack])
     if mean_total == 0:
         raise ValueError("cannot scale an all-zero stack to a photon budget")
-    return stack * (photons_per_pattern / mean_total)
+    return photons_per_pattern / mean_total
+
+
+def scale_to_budget(stack: np.ndarray, photons_per_pattern: float) -> np.ndarray:
+    """The stack scaled by its `budget_scale`."""
+    return stack * budget_scale(stack, photons_per_pattern)
 
 
 def _pattern_rng(seed: int, index: int) -> np.random.Generator:

@@ -211,6 +211,44 @@ def test_zero_modulus_pixel_convention(name):
     assert np.all(np.isfinite(R))
 
 
+def residual_formula(t, G, y):
+    """R of a transform as one expression, evaluated left to right: the
+    reference its in-place chain must match byte for byte."""
+    z = np.abs(G) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, d = t.fwd_deriv(z)
+        R = 2.0 * (f - t.fwd(y)) * d * G
+    R[z == 0] = 0
+    return R
+
+
+@pytest.mark.parametrize("shape", [(160, 160), (2, 32, 32)])
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_in_place_residual_is_the_formula_bit_for_bit(name, shape):
+    t = TRANSFORMS[name]
+    G = random_field(shape, 11)
+    y = np.abs(random_field(shape, 12)) ** 2
+    # every pairing of special values of G with special values of y
+    special_G = [0.0, -0.0, 5e-324, -5e-324j, complex(np.inf, 0.0),
+                 complex(1.0, -np.inf), 0.5 - 2.0j]
+    special_y = [0.0, -0.0, 5e-324, np.inf, 3.0]
+    pairs = [(g, v) for g in special_G for v in special_y]
+    G.reshape(-1)[:len(pairs)] = [g for g, _ in pairs]
+    y.reshape(-1)[:len(pairs)] = [v for _, v in pairs]
+    want = residual_formula(t, G, y)
+    kept_G, kept_y = G.copy(), y.copy()
+    with np.errstate(invalid="ignore"):  # inf * 0 in the complex product
+        R = gradient_residual(t, G, y)
+        z = np.abs(G) ** 2
+        kept_z = z.copy()
+        direct = t.residual(G, z, y)
+    assert R.dtype == want.dtype and R.tobytes() == want.tobytes()
+    assert direct.tobytes() == want.tobytes()
+    # the chain works on its own arrays: no input is written
+    for got, kept in ((G, kept_G), (y, kept_y), (z, kept_z)):
+        assert got.tobytes() == kept.tobytes()
+
+
 def test_gradient_shape_mismatch_raises():
     with pytest.raises(ValueError):
         gradient_residual(functional_by_name("sqrt"),

@@ -359,7 +359,10 @@ def _two_realizations():
     realizations, as the harness builds it: scheme 3 diverges at sweep 22
     in realization 0 and at sweep 23 in realization 1."""
     cfg = ExperimentConfig(master_seed=4, realizations=2)
-    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
+    truth, probe, geometry, mask = build_problem(cfg)[:4]
+    clean = pb.scale_to_budget(
+        simulate_dataset(truth, probe, geometry, Mode.REAL_SPACE, 1),
+        cfg.photon_budget)
     patterns = [pb.apply_noise(clean, pb.NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
                 for r in range(cfg.realizations)]

@@ -256,6 +256,35 @@ def test_object_stack_gives_batched_patterns(mode, oversampling):
             obj, probe, geom, mode, oversampling))
 
 
+@pytest.mark.parametrize("oversampling", [1, 5])
+def test_simulate_into_out_matches_the_returned_stack(oversampling):
+    obj = random_object((32, 32), 9)
+    probe = make_probe("tophat", 6, (16, 16))
+    geom = raster_positions((32, 32), (16, 16), step=8, jitter=1, seed=3)
+    want = simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, oversampling)
+    # one realization's strided slice of a pattern stack, as a grid draws
+    stack = np.full((len(want), 2) + want.shape[1:], np.nan)
+    buf = stack[:, 1]
+    assert simulate_dataset(obj, probe, geom, Mode.REAL_SPACE, oversampling,
+                            out=buf) is buf
+    assert np.array_equal(buf, want)
+    assert np.isnan(stack[:, 0]).all()  # nothing written outside out
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((9, 16, 15)), np.empty((2, 9, 16, 16)),
+    np.empty((9, 16, 16), dtype=np.float32),
+    np.empty((9, 16, 16), dtype=complex)],
+    ids=["shape", "broadcast", "float32", "complex"])
+def test_simulate_refuses_an_out_that_is_not_the_stack(out):
+    probe = make_probe("tophat", 6, (16, 16))
+    geom = raster_positions((32, 32), (16, 16), step=8, jitter=0)
+    assert len(geom.positions) == 9
+    with pytest.raises(ValueError, match="out must be a float array"):
+        simulate_dataset(random_object((32, 32), 9), probe, geom,
+                         Mode.REAL_SPACE, 1, out=out)
+
+
 def test_dataset_reads_its_oversampling_and_refuses_misfit_shapes():
     obj = random_object((32, 32), 8)
     probe = make_probe("tophat", 6, (16, 16))

@@ -5,6 +5,9 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+# imported before any memory is traced: a pooled grid imports it on first
+# use, and its modules are not the grid's memory
+import concurrent.futures  # noqa: F401
 
 import numpy as np
 import pytest
@@ -28,6 +31,16 @@ SMALL_CONFIG = dict(
 
 def small_config(**overrides):
     return ExperimentConfig(**{**SMALL_CONFIG, **overrides})
+
+
+def clean_means(cfg):
+    """The noise-free means of `cfg`'s problem, simulated and scaled to its
+    photon budget here rather than through the harness's own draw."""
+    truth, probe, geometry = build_problem(cfg)[:3]
+    return ptybench.scale_to_budget(
+        ptybench.simulate_dataset(truth, probe, geometry,
+                                  ptybench.Mode.REAL_SPACE, cfg.oversampling),
+        cfg.photon_budget)
 
 
 def record_with_failed_scheme(monkeypatch, failing_id=2):
@@ -240,13 +253,17 @@ def test_summary_statistics_self_consistent():
 
 @pytest.mark.parametrize("oversampling", [1, 5])
 def test_fourier_problem_scans_the_centered_spectrum(oversampling):
-    cfg = small_config(mode="fourier_space", oversampling=oversampling)
-    truth, probe, geometry, _, clean, _, _ = build_problem(cfg)
+    cfg = small_config(mode="fourier_space", oversampling=oversampling,
+                       noise_model="noise_free")
+    problem = build_problem(cfg)
+    truth, probe, geometry = problem[:3]
     obj = ptybench.forward.synthesize_object(
         cfg.object_kind, cfg.object_dims, seed=cfg.master_seed)
     centered = obj * (-1.0) ** np.add.outer(np.arange(32), np.arange(32))
     assert np.array_equal(truth, ptybench.dft2(centered))
-    assert np.array_equal(clean, ptybench.scale_to_budget(
+    # the harness's noise-free draw is the scaled Fourier-space stack
+    draw = ptybench.harness.noisy_patterns(cfg, problem, [0])
+    assert np.array_equal(draw[:, 0], ptybench.scale_to_budget(
         ptybench.simulate_dataset(centered, probe, geometry,
                                   ptybench.Mode.FOURIER_SPACE, oversampling),
         cfg.photon_budget))
@@ -323,7 +340,8 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
     assert all(list(t["scheme_s"]) == ["2", "1"]
                for t in record.meta["timings"])
     # each one-slice stack gives the realization's own 2D run
-    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
+    truth, probe, geometry, mask = build_problem(cfg)[:4]
+    clean = clean_means(cfg)
     for r in range(2):
         patterns = apply_noise(clean, NoiseModel.POISSON,
                                realization_seed(cfg.master_seed, r))
@@ -339,8 +357,8 @@ def test_oversampled_grid_runs_one_realization_at_a_time():
 def own_adapter_curve(cfg, sid, r):
     """The error curve of scheme `sid`'s own 2D adapter run on realization
     `r` of `cfg`, as `adapt_constraints` gives it."""
-    truth, probe, geometry, mask, clean, _, _ = build_problem(cfg)
-    patterns = apply_noise(clean, NoiseModel(cfg.noise_model),
+    truth, probe, geometry, mask = build_problem(cfg)[:4]
+    patterns = apply_noise(clean_means(cfg), NoiseModel(cfg.noise_model),
                            realization_seed(cfg.master_seed, r))
     adapter_cfg = ptybench.engine.AdapterConfig(
         mu_c=cfg.adapter_mu_c, inner_sweeps=cfg.adapter_inner_sweeps,
@@ -394,8 +412,8 @@ def test_oversampled_adapter_grid_runs_one_stack_at_a_time(monkeypatch):
     cfg = small_config(oversampling=5, adapter=True, realizations=2,
                        scheme_ids=(1, 2, 3), adapter_inner_sweeps=1,
                        adapter_outer_rounds=2)
-    clean = build_problem(cfg)[4]
-    draws = [ptybench.harness.noisy_patterns(cfg, clean, [r])
+    problem = build_problem(cfg)
+    draws = [ptybench.harness.noisy_patterns(cfg, problem, [r])
              for r in range(2)]
     original = ptybench.engine.adapt_in_place
     events = []
@@ -417,18 +435,17 @@ def test_oversampled_adapter_grid_runs_one_stack_at_a_time(monkeypatch):
     assert [r for _, r in events] == [0] * 6 + [1] * 6
 
 
-def test_adapter_grid_holds_one_pattern_stack_per_run(monkeypatch):
-    # one run at a time: at its peak the grid holds the clean stack and the
-    # run's own patterns, adapted in place; a shared noisy stack beside an
-    # adapted copy, or a draw through a temporary stack, would hold two.
-    # 225 positions of 40x40 patterns (2.9 MB a stack) outweigh the
-    # temporaries of one position update.
-    monkeypatch.setattr(ptybench.harness, "usable_cpus", lambda: 1)
+def adapter_grid_peak(monkeypatch, workers):
+    """The traced peak memory of an oversampling-5 adapter grid of two
+    schemes on `workers` threads, in pattern stacks: 225 positions of 40x40
+    float patterns (2.9 MB a stack) outweigh the temporaries of one
+    position update."""
+    monkeypatch.setattr(ptybench.harness, "usable_cpus", lambda: workers)
     cfg = small_config(object_dims=(64, 64), window=(8, 8), scan_step=4,
                        probe_radius=3.0, oversampling=5, adapter=True,
                        realizations=2, scheme_ids=(1, 9),
                        adapter_inner_sweeps=1, adapter_outer_rounds=2)
-    stack_bytes = build_problem(cfg)[4].nbytes
+    stack_bytes = len(build_problem(cfg)[2].positions) * 40 * 40 * 8
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -439,9 +456,23 @@ def test_adapter_grid_holds_one_pattern_stack_per_run(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert record.meta["environment"]["workers"] == 1
+    assert record.meta["environment"]["workers"] == workers
     assert all(cell["ok"] for cell in record.cells.values())
-    assert peak < 2.5 * stack_bytes  # the clean stack + 1.5 pattern stacks
+    return peak / stack_bytes
+
+
+def test_adapter_grid_holds_one_pattern_stack_per_run(monkeypatch):
+    # one run at a time: at its peak the grid holds only the run's own
+    # patterns, simulated, drawn and adapted in place; a noise-free stack
+    # held for the grid, a shared noisy stack beside an adapted copy, or a
+    # draw through a temporary stack would each add one
+    assert adapter_grid_peak(monkeypatch, 1) < 1.5
+
+
+def test_concurrent_adapter_runs_hold_one_pattern_stack_each(monkeypatch):
+    # two runs at a time hold two pattern stacks and their temporaries; a
+    # noise-free stack held for the grid would add a third
+    assert adapter_grid_peak(monkeypatch, 2) < 2.5
 
 
 def test_programming_error_propagates(monkeypatch):
@@ -706,10 +737,15 @@ def test_load_refuses_a_statistic_that_is_not_a_number(tmp_path, value):
      re.escape("no cell for (scheme, realization) [(2, 1)]")),
     (lambda p: p["config"].update(realizations=None),
      "its config names no scheme_ids x realizations grid"),
+] + [
+    (lambda p, entry=entry: p["cells"][0]["curve"].insert(0, entry),
+     "cell 0 curve entry 0 is not an \\[iteration, error\\] pair")
+    for entry in ([0, None], 7, [0, 1, 2], ["x", 0.5])
 ], ids=["null_summary", "no_summaries", "null_cells", "cell_without_ok",
         "cell_without_curve", "string_ok", "string_scheme",
         "scheme_off_the_grid", "null_curve", "duplicated_cell",
-        "missing_cell", "no_grid"])
+        "missing_cell", "no_grid", "null_error_in_curve", "int_curve_entry",
+        "three_item_curve_entry", "string_iteration_in_curve"])
 def test_load_refuses_a_malformed_record(tmp_path, tamper, fault):
     record = run_experiment(small_config(realizations=2,
                                          warmup_iterations=2,

@@ -119,6 +119,19 @@ def test_apply_noise_into_out_matches_the_returned_draw(model):
     assert np.isnan(stack[:, 0]).all()  # nothing written outside out
 
 
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_apply_noise_over_its_own_means_matches_the_returned_draw(model):
+    # a grid simulates a realization's means into its slice of the pattern
+    # stack and draws the noise over them there
+    means = np.random.default_rng(5).random((3, 2, 8, 8)) * 10
+    want = apply_noise(means[:, 1], model, 21)
+    stack = means.copy()
+    buf = stack[:, 1]
+    assert apply_noise(buf, model, 21, out=buf) is buf
+    assert np.array_equal(buf, want)
+    assert np.array_equal(stack[:, 0], means[:, 0])  # nothing else written
+
+
 @pytest.mark.parametrize("out", [np.empty((3, 8, 7)), np.empty((2, 3, 8, 8)),
                                  np.empty((3, 8, 8), dtype=np.float32)],
                          ids=["shape", "broadcast", "dtype"])
