@@ -76,7 +76,8 @@ class Dataset:
             raise ValueError(f"pattern shape {self.patterns.shape[-2:]} is "
                              f"not s times the scan window {(wh, ww)} for "
                              f"one integer s >= 1")
-        if np.any(self.patterns < 0):
+        # NaN is skipped, as by np.any(x < 0), and no boolean stack is made
+        if np.fmin.reduce(self.patterns, axis=None, initial=0.0) < 0:
             raise ValueError("intensity patterns must be nonnegative")
 
     @property

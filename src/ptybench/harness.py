@@ -1,13 +1,12 @@
 """Benchmark harness: experiment configuration, multi-realization runs,
 paired scheme comparison, and CSV/JSON persistence.
 
-An experiment fixes one scale that brings its noise-free intensities to
-the photon budget, then for each noise realization draws an independent
-noisy stack (substream keyed by master seed and realization index) and
+For each noise realization an experiment draws an independent noisy
+stack (substream keyed by master seed and realization index) and
 reconstructs it with every requested scheme. The grid holds no noise-free
 stack: each draw simulates its realization's means into its own pattern
-buffer, scales them and draws the noise over them in place. Everything is
-deterministic given the master seed.
+buffer, scales them to the photon budget and draws the noise over them in
+place. Everything is deterministic given the master seed.
 
 Every grid runs stack by stack through one loop: at oversampling 1 all
 realizations form one stack; at oversampling 5 each realization is a stack
@@ -211,10 +210,9 @@ def _summary_stats(errors):
 
 def build_problem(cfg: ExperimentConfig):
     """Validate a config and build its inputs. Returns (effective truth,
-    probe, geometry, mask, photon-budget scale, scheme specs, adapter
-    settings) with everything `validate()` built. The noise-free patterns
-    are simulated once, one at a time, to fix the scale, and none is kept:
-    each draw simulates its own means (`noisy_patterns`)."""
+    probe, geometry, mask, scheme specs, adapter settings) with everything
+    `validate()` built. No pattern is simulated here: each draw simulates
+    its own means (`noisy_patterns`)."""
     mode, _, geometry, probe, truth, specs, adapter = cfg.validate()
     if mode is Mode.FOURIER_SPACE:
         # modulate by (-1)^(x+y) so the object's spectrum is centered in
@@ -223,16 +221,8 @@ def build_problem(cfg: ExperimentConfig):
         h, w = cfg.object_dims
         truth = truth * (-1.0) ** np.add.outer(np.arange(h), np.arange(w))
     truth = forward.effective_object(truth, mode)
-    # truth is the effective object in both modes: simulate it as real
-    # space, pattern by pattern, as simulate_dataset does. The scale needs
-    # only each pattern's total, and a whole stack freed here would stay
-    # resident in this thread's heap for the rest of the process.
-    scale = noise.budget_scale(
-        (forward.diffract(forward.exit_wave(truth, probe, pos),
-                          cfg.oversampling) for pos in geometry.positions),
-        cfg.photon_budget)
     mask = metrics.illumination_mask(probe, geometry)
-    return truth, probe, geometry, mask, scale, specs, adapter
+    return truth, probe, geometry, mask, specs, adapter
 
 
 def realization_seed(master_seed: int, realization: int) -> int:
@@ -245,9 +235,10 @@ def noisy_patterns(cfg: ExperimentConfig, problem, realizations):
     """The (P, R, h, w) noisy patterns of the given realizations of `cfg`'s
     noise on `problem`, the inputs `build_problem` built. Each realization's
     noise-free means are simulated straight into its slice of one array,
-    scaled to the photon budget and drawn over there, so no noise-free
-    stack is held beside the draw."""
-    truth, probe, geometry, _, scale = problem[:5]
+    scaled by their own `noise.budget_scale` and drawn over there, so no
+    noise-free stack is held beside the draw. The truth (the effective
+    object in both modes) is simulated as real space."""
+    truth, probe, geometry = problem[:3]
     model = NoiseModel(cfg.noise_model)
     s = cfg.oversampling
     patterns = np.empty((len(geometry.positions), len(realizations))
@@ -256,7 +247,7 @@ def noisy_patterns(cfg: ExperimentConfig, problem, realizations):
         means = forward.simulate_dataset(truth, probe, geometry,
                                          Mode.REAL_SPACE, s,
                                          out=patterns[:, k])
-        means *= scale
+        means *= noise.budget_scale(means, cfg.photon_budget)
         noise.apply_noise(means, model, realization_seed(cfg.master_seed, r),
                           out=means)
     return patterns
@@ -295,7 +286,7 @@ def _run_stack(cfg, problem, group, cells, pool):
     concurrently, and their cells and times are still filled in spec order.
     A cell fails where the engine recorded its realization as failed; an
     exception that leaves a run is a bug and ends the grid."""
-    truth, probe, geometry, mask, _, specs, adapter = problem
+    truth, probe, geometry, mask, specs, adapter = problem
     timing = {"realizations": len(group), "scheme_s": {}}
 
     def draw():
@@ -511,10 +502,17 @@ def load_record(path: str) -> ExperimentRecord:
                    f"cell {n} curve entry {k} is not an [iteration, error] "
                    f"pair")
         cell["curve"] = [(i, float(e)) for i, e in cell["curve"]]
-        _check(not cell["ok"] or cell["curve"] and
-               cell["final_error"] == cell["curve"][-1][1],
-               f"self-consistency check failed for scheme {sid}, realization "
-               f"{r}: final_error is not the last error of its curve")
+        final, fault = cell["final_error"], (
+            f"self-consistency check failed for scheme {sid}, realization "
+            f"{r}: ")
+        if cell["ok"]:
+            _check(cell["curve"] and final == cell["curve"][-1][1],
+                   fault + "final_error is not the last error of its curve")
+        else:
+            # an older file wrote NaN for a failed cell's final error
+            _check(not cell["curve"] and (final is None or type(final) is
+                                          float and np.isnan(final)),
+                   fault + "a failed cell has a curve or a final_error")
         record.cells[key] = cell
     _check(record.cells.keys() == grid, f"no cell for (scheme, realization) "
            f"{sorted(grid - record.cells.keys())}")

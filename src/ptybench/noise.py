@@ -18,10 +18,8 @@ class NoiseModel(Enum):
 
 
 def budget_scale(stack, photons_per_pattern: float) -> float:
-    """The one global factor that scales a stack so the mean per-pattern
-    total intensity equals the photon budget. `stack` is an array of
-    patterns or any iterable of them, such as patterns simulated one at a
-    time.
+    """The one global factor that scales a stack of patterns so the mean
+    per-pattern total intensity equals the photon budget.
 
     A single scalar preserves relative brightness across positions.
     """
@@ -56,7 +54,8 @@ def _output(means: np.ndarray, out) -> np.ndarray:
 def sample_poisson(means: np.ndarray, seed: int, out=None) -> np.ndarray:
     """Independent Poisson draws with the given per-pixel means (integer
     counts, float array), written into `out` when it is given."""
-    if np.any(means < 0):
+    # NaN is skipped, as by np.any(means < 0), and no boolean stack is made
+    if np.fmin.reduce(means, axis=None, initial=0.0) < 0:
         raise ValueError("Poisson means must be nonnegative")
     out = _output(means, out)
     for j in range(len(means)):
@@ -68,7 +67,7 @@ def sample_speckle(means: np.ndarray, seed: int, out=None) -> np.ndarray:
     """Independent exponential draws with the given per-pixel means
     (fully developed speckle: intensity ~ Exp(mean)), written into `out`
     when it is given."""
-    if np.any(means < 0):
+    if np.fmin.reduce(means, axis=None, initial=0.0) < 0:
         raise ValueError("speckle means must be nonnegative")
     out = _output(means, out)
     for j in range(len(means)):

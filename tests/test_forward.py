@@ -309,6 +309,10 @@ def test_dataset_reads_its_oversampling_and_refuses_misfit_shapes():
     negative[0, 0, 0] = -1.0
     with pytest.raises(ValueError, match="must be nonnegative"):
         Dataset(geom, negative, probe)
+    # NaN first: a NaN-propagating minimum would pass it
+    negative[0, 0, 0], negative[-1, -1, -1] = np.nan, -1.0
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        Dataset(geom, negative, probe)
     with pytest.raises(AttributeError):
         Dataset(geom, patterns, probe).oversampling = 5
 

@@ -43,6 +43,20 @@ def clean_means(cfg):
         cfg.photon_budget)
 
 
+def traced_peak(run):
+    """`run()`'s result and the peak memory it traced, in bytes over what
+    was held before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return run(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def record_with_failed_scheme(monkeypatch, failing_id=2):
     """A three-scheme, two-realization record in which every cell of
     `failing_id` failed, recorded as the engine records a divergence."""
@@ -269,6 +283,54 @@ def test_fourier_problem_scans_the_centered_spectrum(oversampling):
         cfg.photon_budget))
 
 
+def test_build_problem_simulates_no_pattern(monkeypatch):
+    calls = []
+    for name in ("diffract", "exit_wave"):
+        def counted(*args, _original=getattr(ptybench.forward, name),
+                    _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(ptybench.forward, name, counted)
+    cfg = small_config(oversampling=5)
+    problem = build_problem(cfg)
+    assert calls == [] and len(problem) == 6
+    # a draw simulates its own means, one exit wave and pattern a position
+    n = len(problem[2].positions)
+    ptybench.harness.noisy_patterns(cfg, problem, [0])
+    assert sorted(calls) == ["diffract"] * n + ["exit_wave"] * n
+
+
+@pytest.mark.parametrize("oversampling", [1, 5])
+@pytest.mark.parametrize("model", ["noise_free", "poisson", "speckle"])
+def test_each_draw_is_its_realization_on_its_own_scaled_means(model,
+                                                              oversampling):
+    cfg = small_config(noise_model=model, oversampling=oversampling)
+    realizations = [2, 0]   # out of order: slice k is keyed by r, not k
+    draw = ptybench.harness.noisy_patterns(cfg, build_problem(cfg),
+                                           realizations)
+    for k, r in enumerate(realizations):
+        oracle = apply_noise(clean_means(cfg), NoiseModel(model),
+                             realization_seed(cfg.master_seed, r))
+        assert draw[:, k].tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("model", ["poisson", "speckle"])
+def test_a_draw_holds_one_pattern_stack(model):
+    # 225 positions of 40x40 float patterns (2.9 MB a stack): the draw's
+    # own stack, and no boolean stack from its nonnegativity checks
+    cfg = small_config(object_dims=(64, 64), window=(8, 8), scan_step=4,
+                       probe_radius=3.0, oversampling=5, noise_model=model)
+    problem = build_problem(cfg)
+    _, probe, geometry = problem[:3]
+    stack_bytes = len(geometry.positions) * 40 * 40 * 8
+    # a first draw loads what numpy loads on first use, and fills the
+    # transforms' caches: neither is the draw's memory
+    ptybench.harness.noisy_patterns(cfg, problem, [0])
+    _, peak = traced_peak(lambda: Dataset(
+        geometry, ptybench.harness.noisy_patterns(cfg, problem, [0]), probe))
+    assert peak / stack_bytes < 1.05
+
+
 def test_failure_isolation(monkeypatch, tmp_path):
     calls = {"n": 0}
     original = ptybench.engine.refine
@@ -446,16 +508,7 @@ def adapter_grid_peak(monkeypatch, workers):
                        realizations=2, scheme_ids=(1, 9),
                        adapter_inner_sweeps=1, adapter_outer_rounds=2)
     stack_bytes = len(build_problem(cfg)[2].positions) * 40 * 40 * 8
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        record = run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    record, peak = traced_peak(lambda: run_experiment(cfg))
     assert record.meta["environment"]["workers"] == workers
     assert all(cell["ok"] for cell in record.cells.values())
     return peak / stack_bytes
@@ -758,6 +811,32 @@ def test_load_refuses_a_malformed_record(tmp_path, tamper, fault):
     with open(paths["record.json"], "w") as f:
         json.dump(payload, f)
     with pytest.raises(ValueError, match=f"malformed record: {fault}"):
+        load_record(paths["record.json"])
+
+
+@pytest.mark.parametrize("curve, final_error", [
+    ("kept", "not a number"), ("kept", None), ([], "not a number"),
+    ([], 0.5), ([], [])],
+    ids=["curve_and_string", "curve", "string", "number", "list"])
+def test_load_refuses_a_failed_cell_that_carries_data(tmp_path, curve,
+                                                      final_error):
+    record = run_experiment(small_config(scheme_ids=(1,), realizations=1,
+                                         warmup_iterations=2,
+                                         refinement_iterations=2))
+    paths = export(record, str(tmp_path))
+    with open(paths["record.json"]) as f:
+        payload = json.load(f)
+    (cell,) = payload["cells"]
+    cell.update(ok=False, final_error=final_error)
+    if curve != "kept":
+        cell["curve"] = curve
+    # the summary a failed scheme has: only the cell can give it away
+    payload["summaries"]["1"] = {"failed": True}
+    with open(paths["record.json"], "w") as f:
+        json.dump(payload, f)
+    with pytest.raises(ValueError, match="self-consistency check failed for "
+                                         "scheme 1, realization 0: a failed "
+                                         "cell has a curve or a final_error"):
         load_record(paths["record.json"])
 
 

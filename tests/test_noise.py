@@ -59,6 +59,17 @@ def test_poisson_negative_mean_rejected():
         sample_poisson(np.full((1, 2, 2), -1.0), seed=0)
 
 
+@pytest.mark.parametrize("sampler, name", [(sample_poisson, "Poisson"),
+                                           (sample_speckle, "speckle")])
+def test_a_negative_mean_beside_nan_is_refused(sampler, name):
+    # NaN first: a check that took the stack's NaN-propagating minimum
+    # would pass it
+    means = np.zeros((2, 4, 4))
+    means[0, 0, 0], means[1, 3, 3] = np.nan, -1.0
+    with pytest.raises(ValueError, match=f"{name} means must be nonnegative"):
+        sampler(means, seed=0)
+
+
 def test_poisson_chisquare_gof():
     draws = sample_poisson(np.full((1, 100000, 1), 5.0), seed=3).ravel()
     kmax = 16
