@@ -2,7 +2,8 @@
 
 Subcommands:
   simulate     write a (optionally noisy) dataset to an .npz file
-  reconstruct  run one scheme on a stored dataset
+  reconstruct  run one scheme on a stored dataset, scored against its
+               ground truth when the dataset holds one
   bench        run a full experiment from a config file
   compare      paired scheme comparison from a stored record.json
 
@@ -46,7 +47,8 @@ def _load_dataset(path):
             tuple(int(v) for v in data["window"]),
             tuple(int(v) for v in data["object_dims"]))
         dataset = Dataset(geometry, data["patterns"], data["probe"])
-        truth = data["truth"]
+        # measured data has no ground truth: its runs are not scored
+        truth = data.get("truth")
     return dataset, truth
 
 
@@ -97,9 +99,9 @@ def _cmd_reconstruct(args):
     spec = engine.scheme(args.scheme, args.warmup, args.refinement)
     state = engine.run_scheme(spec, dataset, true_object=truth, mask=mask,
                               seed=args.seed)
-    final = state.error_log[-1][1]
-    print(f"scheme {args.scheme}: {state.iteration} sweeps, "
-          f"final masked error {final:.6g}")
+    score = ("" if truth is None
+             else f", final masked error {state.error_log[-1][1]:.6g}")
+    print(f"scheme {args.scheme}: {state.iteration} sweeps{score}")
     if output:
         np.savez_compressed(output, object_estimate=state.object_estimate,
                             error_log=np.asarray(state.error_log))

@@ -28,7 +28,8 @@ class Transform:
 
     fwd_deriv(z) is the one definition of the derivative T': it gives
     (fwd(z), T'(z)) bit for bit, sharing the work the two have in common
-    (a shifted square root or a shifted sum)."""
+    (a shifted square root or a shifted sum), as arrays of its own, never z
+    itself: `residual` changes them in place."""
 
     name: str
     fwd: Callable[[np.ndarray], np.ndarray]
@@ -58,8 +59,6 @@ class Transform:
         convention: a dark estimate carries no phase information)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             f, d = self.fwd_deriv(z)
-            if f is z:  # identity: z is read again below
-                f = f.copy()
             # 2.0 * (f - T(y)) * d * G in its left-to-right order, in place:
             # the same bits without a temporary per step
             f -= self.fwd(y)
@@ -119,7 +118,7 @@ def _identity() -> Transform:
         return np.asarray(z, dtype=float)
 
     return Transform("identity", fwd, fwd,
-                     lambda z: (fwd(z), np.ones_like(fwd(z))))
+                     lambda z: (np.array(z, float), np.ones_like(fwd(z))))
 
 
 TRANSFORMS = {

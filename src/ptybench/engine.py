@@ -37,7 +37,8 @@ def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray) -> np.ndarra
     (1 where |G| = 0)."""
     if G.shape != target_amplitude.shape:
         raise ValueError("shape mismatch in modulus substitution")
-    if np.any(target_amplitude < 0):
+    # a NaN target passes, and no boolean array is made
+    if np.fmin.reduce(target_amplitude, axis=None, initial=0.0) < 0:
         raise ValueError("target amplitude must be nonnegative")
     return target_amplitude * _unit_phase(G)
 
@@ -163,15 +164,13 @@ class ReconstructionState:
             try:
                 err = errors[k] = align_and_error(estimate, self.true_object,
                                                   self.mask)
+                if not np.isfinite(err):
+                    raise ArithmeticError(f"reconstruction diverged at sweep "
+                                          f"{self.iteration} (error {err})")
             except ArithmeticError as exc:
                 # a numeric failure fails only its own slice; any other
                 # error is a bug and raises
                 self.failures[k] = exc
-                continue
-            if not np.isfinite(err):
-                self.failures[k] = ArithmeticError(
-                    f"reconstruction diverged at sweep {self.iteration} "
-                    f"(error {err})")
         if obj.ndim == 2:
             self.error_log.append((self.iteration, float(errors[0])))
             if self.failures:

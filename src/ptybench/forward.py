@@ -147,14 +147,10 @@ def raster_positions(object_dims: tuple, window: tuple, step: int,
     positions = []
     for r in rows:
         for c in cols:
-            if jitter > 0:
-                r_j = r + rng.integers(-jitter, jitter + 1)
-                c_j = c + rng.integers(-jitter, jitter + 1)
-            else:
-                r_j, c_j = r, c
-            r_j = int(np.clip(r_j, 0, oh - wh))
-            c_j = int(np.clip(c_j, 0, ow - ww))
-            positions.append((r_j, c_j))
+            r_j = r + rng.integers(-jitter, jitter + 1)
+            c_j = c + rng.integers(-jitter, jitter + 1)
+            positions.append((int(np.clip(r_j, 0, oh - wh)),
+                              int(np.clip(c_j, 0, ow - ww))))
     return ScanGeometry(tuple(positions), (wh, ww), (oh, ow))
 
 

@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
-import scipy
 
 from . import engine, forward, metrics, noise
 from .forward import Dataset, Mode
@@ -326,6 +325,8 @@ def _run_stack(cfg, problem, group, cells, pool):
 def environment(cfg: ExperimentConfig, workers: int) -> dict:
     """What a run ran on: package and interpreter versions, the config
     hash and the number of threads the grid's schemes ran on."""
+    # loaded here, not at import: every command would pay for it at start
+    import scipy
     from . import __version__
     return {"ptybench": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
@@ -487,9 +488,14 @@ def load_record(path: str) -> ExperimentRecord:
     for n, cell in enumerate(payload["cells"]):
         _check(isinstance(cell, dict) and isinstance(cell.get("ok"), bool)
                and isinstance(cell.get("curve"), list)
-               and {"scheme", "realization", "final_error"} <= cell.keys(),
+               and cell.keys() - {"error"} == {"scheme", "realization", "seed",
+                                               "ok", "curve", "final_error"}
+               and ("error" in cell) != cell["ok"]
+               and type(cell["seed"]) is int
+               and isinstance(cell.get("error", ""), str),
                f"cell {n} is not an object with a boolean ok, a curve list, "
-               f"a scheme, realization and final_error")
+               f"a scheme, realization, int seed and final_error, and an "
+               f"error string exactly when it failed")
         key = sid, r = cell.pop("scheme"), cell.pop("realization")
         _check(type(sid) is int and type(r) is int and key in grid,
                f"cell {n} (scheme {sid!r}, realization {r!r}) is off the grid")

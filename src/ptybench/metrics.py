@@ -38,11 +38,9 @@ def align_and_error(estimate: np.ndarray, truth: np.ndarray,
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth must share dimensions")
     if mask is None:
-        e = estimate.ravel()
-        t = truth.ravel()
-    else:
-        e = estimate[mask]
-        t = truth[mask]
+        mask = np.ones(truth.shape, dtype=bool)
+    e = estimate[mask]
+    t = truth[mask]
     denom = np.vdot(e, e)
     if denom == 0:
         raise AlignmentUndefined("estimate is zero on the mask; alignment "

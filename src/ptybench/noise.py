@@ -82,9 +82,8 @@ def apply_noise(stack: np.ndarray, model: NoiseModel, seed: int,
     float array of the stack's shape) when it is given, so no second stack
     is allocated; the draw is the same either way."""
     if model is NoiseModel.NOISE_FREE:
-        if out is None:
-            return stack.copy()
-        np.copyto(_output(stack, out), stack)
+        out = _output(stack, out)
+        np.copyto(out, stack)
         return out
     if model is NoiseModel.POISSON:
         return sample_poisson(stack, seed, out)

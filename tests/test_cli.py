@@ -84,6 +84,29 @@ def test_reconstruct_runs_on_dataset(tmp_path, config_file, capsys):
         assert result["object_estimate"].shape == (32, 32)
 
 
+def test_reconstruct_runs_unscored_on_data_without_truth(tmp_path,
+                                                        config_file, capsys):
+    data = tmp_path / "data.npz"
+    main(["simulate", config_file, str(data)])
+    with np.load(data) as stored:
+        arrays = {k: v for k, v in stored.items() if k != "truth"}
+    measured = tmp_path / "measured.npz"
+    np.savez_compressed(measured, **arrays)
+    capsys.readouterr()
+    est, scored = tmp_path / "est.npz", tmp_path / "scored.npz"
+    assert main(["reconstruct", str(measured), "--scheme", "2",
+                 "--warmup", "3", "--refinement", "2",
+                 "--output", str(est)]) == 0
+    assert capsys.readouterr().out == f"scheme 2: 5 sweeps\nwrote {est}\n"
+    # the same sweeps as on the dataset with its truth, only not scored
+    main(["reconstruct", str(data), "--scheme", "2", "--warmup", "3",
+          "--refinement", "2", "--output", str(scored)])
+    with np.load(est) as result, np.load(scored) as want:
+        assert result["error_log"].size == 0
+        assert np.array_equal(result["object_estimate"],
+                              want["object_estimate"])
+
+
 def test_fourier_dataset_keeps_its_mode_only_in_config(tmp_path, config_file,
                                                       capsys):
     config = tmp_path / "fourier.cfg"

@@ -88,6 +88,8 @@ def test_fwd_deriv_is_fwd_and_deriv_bit_for_bit(name):
     assert f.dtype == want_f.dtype and d.dtype == want_d.dtype
     assert f.tobytes() == want_f.tobytes()
     assert d.tobytes() == want_d.tobytes()
+    # residual changes f in place and reads z again
+    assert not np.shares_memory(f, z)
 
 
 @pytest.mark.parametrize("name", list(TRANSFORMS))

@@ -59,6 +59,23 @@ def test_modulus_substitute_zero_phase_convention():
     assert np.allclose(out, 2.0 + 0.0j, atol=1e-14)
 
 
+@pytest.mark.parametrize("values, refused", [
+    ([1.0, -0.5], True), ([np.nan, -0.5], True), ([-0.5, np.nan], True),
+    ([np.nan, 1.0], False), ([-0.0, 1.0], False)],
+    ids=["negative", "nan_then_negative", "negative_then_nan", "nan",
+         "negative_zero"])
+def test_modulus_substitute_refuses_a_negative_target(values, refused):
+    G = random_field((2, 2), 3)
+    target = np.ones((2, 2))
+    target[0] = values
+    if refused:
+        with pytest.raises(ValueError,
+                           match="target amplitude must be nonnegative"):
+            modulus_substitute(G, target)
+    else:
+        modulus_substitute(G, target)
+
+
 def test_unit_phase_matches_the_two_where_formula():
     # zeros, signed zeros, NaN, infinities, a subnormal and random values
     v = random_field((6, 8), 3)

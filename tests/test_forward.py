@@ -59,6 +59,14 @@ def test_raster_count_no_jitter():
     assert len(geom.positions) == 9
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_raster_without_jitter_is_the_nominal_raster(seed):
+    geom = raster_positions((64, 64), (32, 32), step=16, jitter=0, seed=seed)
+    assert geom.positions == tuple((r, c) for r in (0, 16, 32)
+                                   for c in (0, 16, 32))
+    assert all(type(v) is int for p in geom.positions for v in p)
+
+
 def test_raster_determinism():
     a = raster_positions((64, 64), (32, 32), step=8, jitter=2, seed=7)
     b = raster_positions((64, 64), (32, 32), step=8, jitter=2, seed=7)

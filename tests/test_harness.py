@@ -769,6 +769,14 @@ def test_load_refuses_a_statistic_that_is_not_a_number(tmp_path, value):
         load_record(paths["record.json"])
 
 
+def fail_scheme_1(payload, **error):
+    """Records scheme 1's two cells as failed, with the summary a failed
+    scheme has, and `error` as each cell's error."""
+    for cell in payload["cells"][:2]:
+        cell.update(ok=False, curve=[], final_error=None, **error)
+    payload["summaries"]["1"] = {"failed": True}
+
+
 @pytest.mark.parametrize("tamper, fault", [
     (lambda p: p["summaries"].update({"1": None}),
      "the summary of scheme 1 is not an object"),
@@ -790,6 +798,14 @@ def test_load_refuses_a_statistic_that_is_not_a_number(tmp_path, value):
      re.escape("no cell for (scheme, realization) [(2, 1)]")),
     (lambda p: p["config"].update(realizations=None),
      "its config names no scheme_ids x realizations grid"),
+    # code that lists failed cells reads cell["error"]: a cell holds one,
+    # a string, exactly when it failed
+    (fail_scheme_1, "cell 0 is not an object with"),
+    (lambda p: fail_scheme_1(p, error=5), "cell 0 is not an object with"),
+    (lambda p: p["cells"][0].update(error="ArithmeticError: x"),
+     "cell 0 is not an object with"),
+    (lambda p: p["cells"][0].pop("seed"), "cell 0 is not an object with"),
+    (lambda p: p["cells"][0].update(seed="7"), "cell 0 is not an object with"),
 ] + [
     (lambda p, entry=entry: p["cells"][0]["curve"].insert(0, entry),
      "cell 0 curve entry 0 is not an \\[iteration, error\\] pair")
@@ -797,7 +813,9 @@ def test_load_refuses_a_statistic_that_is_not_a_number(tmp_path, value):
 ], ids=["null_summary", "no_summaries", "null_cells", "cell_without_ok",
         "cell_without_curve", "string_ok", "string_scheme",
         "scheme_off_the_grid", "null_curve", "duplicated_cell",
-        "missing_cell", "no_grid", "null_error_in_curve", "int_curve_entry",
+        "missing_cell", "no_grid", "failed_cell_without_error", "int_error",
+        "ok_cell_with_error", "cell_without_seed", "string_seed",
+        "null_error_in_curve", "int_curve_entry",
         "three_item_curve_entry", "string_iteration_in_curve"])
 def test_load_refuses_a_malformed_record(tmp_path, tamper, fault):
     record = run_experiment(small_config(realizations=2,
@@ -827,7 +845,8 @@ def test_load_refuses_a_failed_cell_that_carries_data(tmp_path, curve,
     with open(paths["record.json"]) as f:
         payload = json.load(f)
     (cell,) = payload["cells"]
-    cell.update(ok=False, final_error=final_error)
+    # a failed cell's keys, so only its data can give it away
+    cell.update(ok=False, error="ArithmeticError: x", final_error=final_error)
     if curve != "kept":
         cell["curve"] = curve
     # the summary a failed scheme has: only the cell can give it away
@@ -890,10 +909,12 @@ def test_record_meta_says_what_ran_and_where_time_went(tmp_path):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time; only compare_schemes needs it
+    # scipy.stats is most of the import time; only compare_schemes needs it.
+    # scipy itself is loaded only when environment() reads its version
     src = os.path.dirname(os.path.dirname(ptybench.forward.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import ptybench; "
-            "print('scipy.stats' in sys.modules)")
+            "print('scipy.stats' in sys.modules, 'scipy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code, src],
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+

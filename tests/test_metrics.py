@@ -100,6 +100,15 @@ def test_masked_error_uses_only_masked_pixels():
     assert align_and_error(estimate, truth, mask) < 1e-12
 
 
+def test_no_mask_scores_every_pixel():
+    truth = random_field((6, 5), 10)
+    estimate = random_field((6, 5), 11)
+    e, t = estimate.ravel(), truth.ravel()
+    c = np.vdot(e, t) / np.vdot(e, e)
+    want = float(np.linalg.norm(c * e - t) / np.linalg.norm(t))
+    assert align_and_error(estimate, truth) == want
+
+
 def test_zero_estimate_raises():
     truth = random_field((4, 4), 9)
     with pytest.raises(ValueError):

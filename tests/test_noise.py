@@ -143,6 +143,16 @@ def test_apply_noise_over_its_own_means_matches_the_returned_draw(model):
     assert np.array_equal(stack[:, 0], means[:, 0])  # nothing else written
 
 
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_apply_noise_returns_a_float_stack_of_its_own(model):
+    means = np.arange(3 * 8 * 8).reshape(3, 8, 8)  # integer means
+    draw = apply_noise(means, model, 21)
+    assert draw.dtype == float and draw.shape == means.shape
+    assert not np.shares_memory(draw, means)
+    if model is NoiseModel.NOISE_FREE:
+        assert np.array_equal(draw, means)
+
+
 @pytest.mark.parametrize("out", [np.empty((3, 8, 7)), np.empty((2, 3, 8, 8)),
                                  np.empty((3, 8, 8), dtype=np.float32)],
                          ids=["shape", "broadcast", "dtype"])
