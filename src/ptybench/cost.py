@@ -12,6 +12,9 @@ Gradients are returned as the Fourier-domain residual R(u) such that
 dL/dg*(x) = back_project(R, window) for the window-sized exit wave g: the
 inverse of R cropped to the window, since G is the transform of g
 zero-padded by the oversampling factor. z = |G|^2 is computed internally.
+`gradient_residual` and `residual` write no input; given `out=`, R is
+written there, which may be G itself when the caller owns G and needs it
+no more: at oversampling 5 that saves one full-size grid per update.
 """
 
 import math
@@ -21,15 +24,23 @@ from typing import Callable
 import numpy as np
 
 
+def _in_place(r):
+    """`out=` for a ufunc that overwrites `r`, an array of the caller's own:
+    r itself, or None when r is a scalar, which cannot be written."""
+    return r if np.ndim(r) else None
+
+
 @dataclass(frozen=True)
 class Transform:
     """A monotone intensity transform T with its inverse; as a cost
     functional it is the variance-stabilized sum (T(z) - T(y))^2.
 
-    fwd_deriv(z) is the one definition of the derivative T': it gives
-    (fwd(z), T'(z)) bit for bit, sharing the work the two have in common
-    (a shifted square root or a shifted sum), as arrays of its own, never z
-    itself: `residual` changes them in place."""
+    fwd, inv and mix each compute in one array of their own, never their
+    input: the identity's fwd and inv copy. fwd_deriv(z) is the one
+    definition of the derivative T': it gives (fwd(z), T'(z)) bit for bit,
+    sharing the work the two have in common (a shifted square root or a
+    shifted sum), as two arrays of its own: `residual` changes them in
+    place."""
 
     name: str
     fwd: Callable[[np.ndarray], np.ndarray]
@@ -43,20 +54,23 @@ class Transform:
     def mix(self, a: np.ndarray, b: np.ndarray, mu: float) -> np.ndarray:
         """The convex combination of a and b taken in the transformed
         domain, T^-1((1 - mu) T(a) + mu T(b))."""
-        # summed in place, one temporary fewer: the caller holds `a` through
-        # the call, which at oversampling 5 would otherwise raise the peak
-        # memory
-        v = (1.0 - mu) * self.fwd(a)
-        v += mu * self.fwd(b)
+        # each term is scaled in the array fwd made for it, and the second
+        # is dropped before inv makes the result
+        v = self.fwd(a)
+        v = np.multiply(1.0 - mu, v, out=_in_place(v))
+        w = self.fwd(b)
+        v += np.multiply(mu, w, out=_in_place(w))
+        del w
         return self.inv(v)
 
     def cost(self, z: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum((self.fwd(z) - self.fwd(y)) ** 2))
 
-    def residual(self, G: np.ndarray, z: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
+    def residual(self, G: np.ndarray, z: np.ndarray, y: np.ndarray,
+                 out=None) -> np.ndarray:
         """R = 2 (T(z) - T(y)) T'(z) G, set to 0 where z = 0 (limit
-        convention: a dark estimate carries no phase information)."""
+        convention: a dark estimate carries no phase information). R is
+        written into `out` when it is given, which may be G."""
         with np.errstate(divide="ignore", invalid="ignore"):
             f, d = self.fwd_deriv(z)
             # 2.0 * (f - T(y)) * d * G in its left-to-right order, in place:
@@ -64,7 +78,7 @@ class Transform:
             f -= self.fwd(y)
             f *= 2.0
             f *= d
-            R = f * G
+            R = np.multiply(f, G, out=out)
         R[z == 0] = 0
         return R
 
@@ -76,49 +90,61 @@ def _power_transform(alpha: float) -> Transform:
     def fwd(z):
         return np.power(z, alpha)
 
-    return Transform(
-        name=f"pow_{alpha}",
-        fwd=fwd,
-        inv=lambda v: np.power(np.maximum(v, 0.0), 1.0 / alpha),
-        fwd_deriv=lambda z: (fwd(z), alpha * np.power(z, alpha - 1)),
-    )
+    def inv(v):
+        r = np.maximum(v, 0.0)
+        return np.power(r, 1.0 / alpha, out=_in_place(r))
+
+    def fwd_deriv(z):
+        d = np.power(z, alpha - 1)
+        return fwd(z), np.multiply(alpha, d, out=_in_place(d))
+
+    return Transform(f"pow_{alpha}", fwd, inv, fwd_deriv)
 
 
 def _shifted_sqrt(name: str, shift: float) -> Transform:
     def fwd(z):
-        return np.sqrt(z + shift)
+        r = np.add(z, shift)
+        return np.sqrt(r, out=_in_place(r))
+
+    def inv(v):
+        r = np.maximum(v, 0.0)
+        r = np.square(r, out=_in_place(r))  # the bits of ** 2
+        r -= shift
+        return r
 
     def fwd_deriv(z):
         r = fwd(z)
         return r, 0.5 / r
 
-    return Transform(
-        name=name,
-        fwd=fwd,
-        inv=lambda v: np.maximum(v, 0.0) ** 2 - shift,
-        fwd_deriv=fwd_deriv,
-    )
+    return Transform(name, fwd, inv, fwd_deriv)
 
 
 def _shifted_log(name: str, shift: float) -> Transform:
-    def fwd_deriv(z):
-        u = z + shift
-        return np.log(u), 1.0 / u
+    def fwd(z):
+        u = np.add(z, shift)
+        return np.log(u, out=_in_place(u))
 
-    return Transform(
-        name=name,
-        fwd=lambda z: np.log(z + shift),
-        inv=lambda v: np.exp(v) - shift,
-        fwd_deriv=fwd_deriv,
-    )
+    def inv(v):
+        r = np.exp(v)
+        r -= shift
+        return r
+
+    def fwd_deriv(z):
+        u = np.add(z, shift)
+        return np.log(u), np.divide(1.0, u, out=_in_place(u))
+
+    return Transform(name, fwd, inv, fwd_deriv)
 
 
 def _identity() -> Transform:
     def fwd(z):
-        return np.asarray(z, dtype=float)
+        return np.array(z, dtype=float)
 
-    return Transform("identity", fwd, fwd,
-                     lambda z: (np.array(z, float), np.ones_like(fwd(z))))
+    def fwd_deriv(z):
+        f = fwd(z)
+        return f, np.ones_like(f)
+
+    return Transform("identity", fwd, fwd, fwd_deriv)
 
 
 TRANSFORMS = {
@@ -158,10 +184,14 @@ class PoissonLogLikelihood:
     def cost(self, z: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum(z - y * np.log(z + self.eps_for(y))))
 
-    def residual(self, G: np.ndarray, z: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
-        """R = (1 - y / (z + eps)) G."""
-        return (1.0 - y / (z + self.eps_for(y))) * G
+    def residual(self, G: np.ndarray, z: np.ndarray, y: np.ndarray,
+                 out=None) -> np.ndarray:
+        """R = (1 - y / (z + eps)) G, written into `out` when it is given,
+        which may be G."""
+        q = np.add(z, self.eps_for(y))
+        q = np.divide(y, q, out=_in_place(q))
+        q = np.subtract(1.0, q, out=_in_place(q))
+        return np.multiply(q, G, out=out)
 
 
 def functional_by_name(name: str, epsilon: float = 0.0):
@@ -188,15 +218,18 @@ def cost_eval(functional, z: np.ndarray, y: np.ndarray) -> float:
     return functional.cost(z, y)
 
 
-def gradient_residual(functional, G: np.ndarray, y: np.ndarray) -> np.ndarray:
+def gradient_residual(functional, G: np.ndarray, y: np.ndarray,
+                      out=None) -> np.ndarray:
     """Fourier-domain residual R(u) with dL/dg* = back_project(R, window)
     for the window-sized exit wave g, z = |G|^2; the functional's
-    `residual` gives its formula."""
+    `residual` gives its formula. No input is written unless it is `out`:
+    R is written there when it is given, and it may be G itself, the far
+    field of a caller that owns it and reads it no more."""
     if G.shape != y.shape:
         raise ValueError(f"shape mismatch: G {G.shape} vs y {y.shape}")
     z = np.abs(G)
     z *= z  # |G|^2, the bits of np.abs(G) ** 2
-    return functional.residual(G, z, y)
+    return functional.residual(G, z, y, out=out)
 
 
 def taylor_gap(z: float, y: float) -> float:

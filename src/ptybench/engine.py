@@ -23,24 +23,32 @@ from .grids import dft2, idft2
 from .metrics import align_and_error
 
 
-def _unit_phase(v, mod=None):
+def _unit_phase(v, mod=None, out=None):
     """v / |v|, with the phase factor defined as 1 where v = 0 (or |v| is
     NaN) so runs stay reproducible. `mod` is np.abs(v) when the caller has
-    already computed it."""
+    already computed it; the phase is written into `out` when it is given,
+    which may be v itself."""
     if mod is None:
         mod = np.abs(v)
-    return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
+    live = mod > 0
+    out = np.divide(v, mod, out=np.empty_like(v) if out is None else out,
+                    where=live)
+    np.copyto(out, 1, where=~live)
+    return out
 
 
-def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray) -> np.ndarray:
+def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray,
+                       out=None) -> np.ndarray:
     """Replace |G| with the target amplitude while keeping the phase of G
-    (1 where |G| = 0)."""
+    (1 where |G| = 0); the result is written into `out` when it is given,
+    which may be G itself."""
     if G.shape != target_amplitude.shape:
         raise ValueError("shape mismatch in modulus substitution")
     # a NaN target passes, and no boolean array is made
     if np.fmin.reduce(target_amplitude, axis=None, initial=0.0) < 0:
         raise ValueError("target amplitude must be nonnegative")
-    return target_amplitude * _unit_phase(G)
+    phase = _unit_phase(G, out=out)
+    return np.multiply(target_amplitude, phase, out=phase)
 
 
 def er_support_iterate(g: np.ndarray, support_mask: np.ndarray,
@@ -55,17 +63,22 @@ def er_support_iterate(g: np.ndarray, support_mask: np.ndarray,
 # update rule variants: update(window, g, G, pattern, probe, mu) changes one
 # probe window of the object in place, given the exit wave g there, its far
 # field G and the measured pattern; on an object stack each argument but the
-# probe carries the stack's leading axis
+# probe carries the stack's leading axis. G is the caller's scratch: a rule
+# may overwrite it (at oversampling 5 it writes its residual, phase or
+# substituted modulus there rather than into a new full-size grid), so a
+# caller passes a far field it reads no more, as position_sweep does.
 
 @dataclass(frozen=True)
 class GradientDescent:
-    """Steepest descent on a cost functional via its Wirtinger gradient."""
+    """Steepest descent on a cost functional via its Wirtinger gradient.
+    The residual overwrites G."""
     functional: object  # Transform or PoissonLogLikelihood
 
     def step(self, G, pattern, probe, mu):
-        """The descent step mu * conj(P) * dL/dg* for one position."""
-        d = back_project(gradient_residual(self.functional, G, pattern),
-                         probe.shape)
+        """The descent step mu * conj(P) * dL/dg* for one position; the
+        residual overwrites G."""
+        d = back_project(gradient_residual(self.functional, G, pattern,
+                                           out=G), probe.shape)
         return mu * np.conj(probe) * d
 
     def update(self, window, g, G, pattern, probe, mu):
@@ -78,16 +91,21 @@ class GradientDescent:
 @dataclass(frozen=True)
 class FourierMix:
     """Convex combination of transformed intensities in the Fourier domain,
-    keeping the estimated phase; mu = 0 keeps the estimate exactly."""
+    keeping the estimated phase; mu = 0 keeps the estimate exactly. The
+    unit phase, then the new far field, overwrite G."""
     transform: Transform
 
     def update(self, window, g, G, pattern, probe, mu):
         if mu == 0.0:
             return
         mod = np.abs(G)
-        mixed = self.transform.mix(mod ** 2, pattern, mu)
-        G_new = np.sqrt(np.maximum(mixed, 0.0)) * _unit_phase(G, mod)
-        g_new = back_project(G_new, probe.shape)
+        phase = _unit_phase(G, mod, out=G)
+        mod *= mod  # |G|^2, the bits of mod ** 2
+        amp = self.transform.mix(mod, pattern, mu)
+        del mod  # freed before back_project makes its grid
+        np.maximum(amp, 0.0, out=amp)
+        np.sqrt(amp, out=amp)
+        g_new = back_project(np.multiply(amp, phase, out=phase), probe.shape)
         window += np.conj(probe) * (g_new - g)
 
     def describe(self):
@@ -98,13 +116,13 @@ class FourierMix:
 class ObjectMix:
     """Full modulus-substitution update followed by a transformed convex
     combination of old and new object in the object domain; mu = 0 keeps
-    the estimate exactly."""
+    the estimate exactly. The substituted modulus overwrites G."""
     transform: Transform
 
     def update(self, window, g, G, pattern, probe, mu):
         if mu == 0.0:
             return
-        g_prime = back_project(modulus_substitute(G, np.sqrt(pattern)),
+        g_prime = back_project(modulus_substitute(G, np.sqrt(pattern), out=G),
                                probe.shape)
         window_prime = window + np.conj(probe) * (g_prime - g)
         amp, amp_prime = np.abs(window), np.abs(window_prime)
@@ -152,7 +170,8 @@ class ReconstructionState:
         diverging run stops at the first sweep that shows it, and an error
         that cannot be computed raises AlignmentUndefined; in a stack either
         marks only its slice failed, and that slice's error reads NaN from
-        then on."""
+        then on. A truth that is zero on the mask is a bad input: its
+        ValueError raises from the first call, on a stack too."""
         if self.true_object is None:
             return
         obj = self.object_estimate
@@ -194,7 +213,8 @@ def position_sweep(state: ReconstructionState, dataset: Dataset,
                    rule, mu: float) -> ReconstructionState:
     """One full sweep of sequential per-position updates, in shuffled order
     drawn from the state's stream; an object stack is swept as one, against
-    a batched dataset. Mutates and returns `state`."""
+    a batched dataset. Each position's far field is a new array that the
+    rule may overwrite. Mutates and returns `state`."""
     positions = dataset.geometry.positions
     obj = state.object_estimate
     wh, ww = dataset.probe.shape
@@ -369,25 +389,33 @@ def adapt_in_place(dataset: Dataset, config: AdapterConfig,
     stop once every slice has failed, as the sweeps of `refine` do.
     Returns the final state.
     """
-    m_tilde = dataset.patterns
-    if m_tilde.dtype != float:
+    if dataset.patterns.dtype != float:
         raise ValueError(f"adapted patterns must be float, "
-                         f"got {m_tilde.dtype}")
+                         f"got {dataset.patterns.dtype}")
     state = _start_state(dataset, init_object, seed, true_object, mask)
-    s = dataset.oversampling
     for _ in range(config.outer_rounds):
         _sweeps(state, dataset, config.inner_rule, config.inner_mu,
                 config.inner_sweeps)
         if state.all_failed():
             break
         if config.mu_c > 0.0:
-            # the estimate already lives in the effective (real-space-
-            # equivalent) domain, so always re-simulate in real-space terms
-            for j, pos in enumerate(dataset.geometry.positions):
-                m_tilde[j] *= 1.0 - config.mu_c
-                m_tilde[j] += config.mu_c * diffract(
-                    exit_wave(state.object_estimate, dataset.probe, pos), s)
+            _mix_targets(dataset, state.object_estimate, config.mu_c)
     return state
+
+
+def _mix_targets(dataset: Dataset, obj: np.ndarray, mu_c: float):
+    """m~ <- (1 - mu_c) m~ + mu_c z0 in place on the dataset's patterns, one
+    position at a time, with z0 the intensity `obj` predicts there. Each
+    prediction is scaled in its own grid, and freed before the next one is
+    made."""
+    m_tilde = dataset.patterns
+    for j, pos in enumerate(dataset.geometry.positions):
+        m_tilde[j] *= 1.0 - mu_c
+        # the estimate already lives in the effective (real-space-
+        # equivalent) domain, so always re-simulate in real-space terms
+        z = diffract(exit_wave(obj, dataset.probe, pos), dataset.oversampling)
+        m_tilde[j] += np.multiply(mu_c, z, out=z)
+        del z
 
 
 def adapt_constraints(dataset: Dataset, config: AdapterConfig,

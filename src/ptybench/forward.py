@@ -175,17 +175,22 @@ def far_field(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
     bit for bit to dft2(zero_pad_center(exit_field, oversampling)).
 
     Above factor 1 the first (last-axis) pass runs only on the exit wave's
-    own rows, since the padding rows transform to zero.
+    own rows, since the padding rows transform to zero. Both passes run in
+    the padded grid, which is the one full-size array a call allocates.
     """
     if oversampling == 1:
         return dft2(exit_field)
     F = zero_pad_center(exit_field, oversampling)
     h = exit_field.shape[-2]
     r0 = center_offset(F.shape[-2], h)
-    rows = np.fft.fft(F[..., r0:r0 + h, :], axis=-1, norm="ortho")
+    rows = F[..., r0:r0 + h, :]
+    # in place on a complex grid (out=: numpy >= 2.0); a real field's rows
+    # transform from real input, as in dft2, into a new array
+    rows = np.fft.fft(rows, axis=-1, norm="ortho",
+                      out=rows if np.iscomplexobj(rows) else None)
     F = F.astype(rows.dtype, copy=False)  # complex, as dft2 would give
-    F[..., r0:r0 + h, :] = rows
-    return np.fft.fft(F, axis=-2, norm="ortho", out=F)  # out=: numpy >= 2.0
+    F[..., r0:r0 + h, :] = rows  # no copy when the pass ran in place
+    return np.fft.fft(F, axis=-2, norm="ortho", out=F)
 
 
 def back_project(F: np.ndarray, window: tuple) -> np.ndarray:
@@ -209,7 +214,9 @@ def back_project(F: np.ndarray, window: tuple) -> np.ndarray:
 
 def diffract(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
     """Far-field intensity |F{padded exit wave}|^2."""
-    return np.abs(far_field(exit_field, oversampling)) ** 2
+    z = np.abs(far_field(exit_field, oversampling))
+    z *= z  # the bits of ** 2, without a second intensity grid
+    return z
 
 
 def effective_object(obj: np.ndarray, mode: Mode) -> np.ndarray:

@@ -33,7 +33,8 @@ def align_and_error(estimate: np.ndarray, truth: np.ndarray,
     """Relative L2 error after least-squares global phase/scale alignment.
 
     c = <truth, estimate> / <estimate, estimate> over the mask, then
-    ||c * estimate - truth|| / ||truth||.
+    ||c * estimate - truth|| / ||truth||. A truth that is zero on the mask
+    has no relative error: it is a bad input, and raises a plain ValueError.
     """
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth must share dimensions")
@@ -41,9 +42,13 @@ def align_and_error(estimate: np.ndarray, truth: np.ndarray,
         mask = np.ones(truth.shape, dtype=bool)
     e = estimate[mask]
     t = truth[mask]
+    norm = np.linalg.norm(t)
+    if norm == 0:
+        raise ValueError("ground truth is zero on the mask; relative error "
+                         "undefined")
     denom = np.vdot(e, e)
     if denom == 0:
         raise AlignmentUndefined("estimate is zero on the mask; alignment "
                                  "undefined")
     c = np.vdot(e, t) / denom
-    return float(np.linalg.norm(c * e - t) / np.linalg.norm(t))
+    return float(np.linalg.norm(c * e - t) / norm)

@@ -70,9 +70,14 @@ def sample_speckle(means: np.ndarray, seed: int, out=None) -> np.ndarray:
     if np.fmin.reduce(means, axis=None, initial=0.0) < 0:
         raise ValueError("speckle means must be nonnegative")
     out = _output(means, out)
+    u = np.empty(means.shape[1:])  # one pattern's draws, reused
     for j in range(len(means)):
-        u = _pattern_rng(seed, j).random(means[j].shape)  # [0, 1)
-        out[j] = -means[j] * np.log1p(-u)                 # mean * Exp(1)
+        _pattern_rng(seed, j).random(out=u)  # [0, 1)
+        # -means[j] * log1p(-u), mean * Exp(1), computed in u and in
+        # pattern j of out, which may be means (a view also for 1-D stacks)
+        mean, draw = means[j, ...], out[j, ...]
+        np.log1p(np.negative(u, out=u), out=u)
+        np.multiply(np.negative(mean, out=draw), u, out=draw)
     return out
 
 

@@ -84,6 +84,27 @@ def test_reconstruct_runs_on_dataset(tmp_path, config_file, capsys):
         assert result["object_estimate"].shape == (32, 32)
 
 
+def test_reconstruct_refuses_a_truth_that_is_zero_on_the_mask(tmp_path,
+                                                              config_file,
+                                                              capsys):
+    # a zero truth is a bad input, not a run that diverged at sweep 0
+    data = tmp_path / "data.npz"
+    main(["simulate", config_file, str(data)])
+    with np.load(data) as stored:
+        arrays = dict(stored)
+    arrays["truth"] = np.zeros_like(arrays["truth"])
+    zero = tmp_path / "zero.npz"
+    np.savez_compressed(zero, **arrays)
+    capsys.readouterr()
+    est = tmp_path / "est.npz"
+    assert main(["reconstruct", str(zero), "--scheme", "1", "--warmup", "2",
+                 "--refinement", "2", "--output", str(est)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: ValueError: ground truth is zero on the "
+                            "mask; relative error undefined\n")
+    assert captured.out == "" and not est.exists()
+
+
 def test_reconstruct_runs_unscored_on_data_without_truth(tmp_path,
                                                         config_file, capsys):
     data = tmp_path / "data.npz"

@@ -103,6 +103,26 @@ def test_mix_is_the_transformed_convex_combination(name):
     assert np.allclose(t.mix(a, b, 1.0), b, rtol=1e-10)
 
 
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_transforms_compute_in_arrays_of_their_own(name):
+    # fwd, inv, mix and fwd_deriv write no input, and none returns its input
+    # or a view of it: the identity's fwd and inv copy, so the callers that
+    # work in place on a result never change what they passed
+    t = TRANSFORMS[name]
+    rng = np.random.default_rng(7)
+    a, b = rng.random((2, 6, 6)) * 100, rng.random((2, 6, 6)) * 100
+    a.flat[:3] = [0.0, 5e-324, np.inf]
+    kept_a, kept_b = a.tobytes(), b.tobytes()
+    with np.errstate(all="ignore"):
+        results = [t.fwd(a), t.inv(a), t.mix(a, b, 0.1), *t.fwd_deriv(a)]
+    for got in results:
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+    assert a.tobytes() == kept_a and b.tobytes() == kept_b
+    # a result may be changed in place without touching the input
+    results[0] += 1.0
+    assert a.tobytes() == kept_a
+
+
 # --- cost evaluation ---------------------------------------------------------
 
 def test_vst_cost_zero_at_data():
@@ -249,6 +269,26 @@ def test_in_place_residual_is_the_formula_bit_for_bit(name, shape):
     # the chain works on its own arrays: no input is written
     for got, kept in ((G, kept_G), (y, kept_y), (z, kept_z)):
         assert got.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+def test_residual_into_G_is_the_pure_residual_bit_for_bit(name):
+    # out=G is how a rule spends its far field; a pure call writes no input
+    fn = functional_by_name(name)
+    G = random_field((2, 40, 40), 13)
+    y = np.abs(random_field((2, 40, 40), 14)) ** 2
+    G.flat[:4] = [0.0, -0.0, complex(np.inf, 0.0), 0.5 - 2.0j]
+    y.flat[:4] = [0.0, 3.0, 2.0, np.inf]
+    kept_G, kept_y = G.tobytes(), y.tobytes()
+    with np.errstate(all="ignore"):
+        pure = gradient_residual(fn, G, y)
+        assert G.tobytes() == kept_G and y.tobytes() == kept_y
+        out = np.full_like(G, np.nan)
+        assert gradient_residual(fn, G, y, out=out) is out
+        assert gradient_residual(fn, G, y, out=G) is G
+    assert out.tobytes() == pure.tobytes()
+    assert G.tobytes() == pure.tobytes()
+    assert y.tobytes() == kept_y
 
 
 def test_gradient_shape_mismatch_raises():

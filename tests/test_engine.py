@@ -4,10 +4,11 @@ import pytest
 import ptybench as pb
 from ptybench import (AdapterConfig, Dataset, FourierMix, GradientDescent,
                       Mode, ObjectMix, ReconstructionState, SCHEMES,
-                      TRANSFORMS, adapt_constraints, cost_eval, dft2,
-                      er_support_iterate, exit_wave, functional_by_name,
+                      TRANSFORMS, adapt_constraints, cost_eval, crop_center,
+                      dft2, er_support_iterate, exit_wave, functional_by_name,
                       global_gradient_step, idft2, modulus_substitute,
-                      position_sweep, run_scheme, scheme, simulate_dataset)
+                      position_sweep, run_scheme, scheme, simulate_dataset,
+                      zero_pad_center)
 from ptybench.engine import _unit_phase
 from ptybench.harness import (ExperimentConfig, build_problem,
                               realization_seed)
@@ -76,12 +77,18 @@ def test_modulus_substitute_refuses_a_negative_target(values, refused):
         modulus_substitute(G, target)
 
 
-def test_unit_phase_matches_the_two_where_formula():
-    # zeros, signed zeros, NaN, infinities, a subnormal and random values
-    v = random_field((6, 8), 3)
+def special_field(shape, seed):
+    """A random complex field with zeros, signed zeros, NaN, infinities and
+    a subnormal among its values."""
+    v = random_field(shape, seed)
     v.flat[:9] = [0.0, -0.0, complex(np.nan, 0.0), complex(np.inf, 0.0),
                   complex(0.0, -np.inf), complex(np.inf, np.nan),
                   complex(np.inf, np.inf), complex(np.nan, np.nan), 1e-320]
+    return v
+
+
+def test_unit_phase_matches_the_two_where_formula():
+    v = special_field((6, 8), 3)
     with np.errstate(invalid="ignore", over="ignore"):
         mod = np.abs(v)
         expected = np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
@@ -89,6 +96,40 @@ def test_unit_phase_matches_the_two_where_formula():
         given_mod = _unit_phase(v, np.abs(v))
     assert got.tobytes() == expected.tobytes()
     assert given_mod.tobytes() == expected.tobytes()
+
+
+def test_unit_phase_writes_no_input_and_out_gives_the_same_bits():
+    v = special_field((3, 8, 8), 4)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mod = np.abs(v)
+        kept_v, kept_mod = v.tobytes(), mod.tobytes()
+        pure = _unit_phase(v)
+        given_mod = _unit_phase(v, mod)
+        assert v.tobytes() == kept_v and mod.tobytes() == kept_mod
+        assert not np.shares_memory(pure, v)
+        # into v itself, with and without its modulus, and into a stranger
+        for args in ((), (mod,)):
+            own = v.copy()
+            assert _unit_phase(own, *args, out=own) is own
+            assert own.tobytes() == pure.tobytes()
+        out = np.full_like(v, np.nan)
+        assert _unit_phase(v, out=out) is out
+    assert given_mod.tobytes() == pure.tobytes()
+    assert out.tobytes() == pure.tobytes()
+
+
+def test_modulus_substitute_writes_no_input_and_out_gives_the_same_bits():
+    G = special_field((3, 8, 8), 5)
+    target = np.random.default_rng(6).random((3, 8, 8)) * 4
+    target.flat[:3] = [0.0, np.inf, np.nan]
+    kept_G, kept_target = G.tobytes(), target.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        pure = modulus_substitute(G, target)
+        assert G.tobytes() == kept_G and target.tobytes() == kept_target
+        own = G.copy()
+        assert modulus_substitute(own, target, out=own) is own
+    assert own.tobytes() == pure.tobytes()
+    assert target.tobytes() == kept_target
 
 
 # the rules' math as it was written before the phase took a precomputed
@@ -103,22 +144,28 @@ def _reference_unit_phase(v):
     return out
 
 
+def _reference_back_project(F, window):
+    """The exit wave of a far field: the full inverse, cropped."""
+    return crop_center(np.fft.ifft2(F, norm="ortho"), *window)
+
+
 def _reference_update(rule, window, g, G, pattern, probe, mu):
     if isinstance(rule, GradientDescent):
         t = rule.functional
         z = np.abs(G) ** 2
         R = 2.0 * (t.fwd(z) - t.fwd(pattern)) * t.deriv(z) * G
         R[z == 0] = 0
-        return window - mu * np.conj(probe) * np.fft.ifft2(R, norm="ortho")
+        return window - mu * np.conj(probe) * _reference_back_project(
+            R, probe.shape)
     t = rule.transform
     if isinstance(rule, FourierMix):
         z = np.abs(G) ** 2
         mixed = t.inv((1.0 - mu) * t.fwd(z) + mu * t.fwd(pattern))
         G_new = np.sqrt(np.maximum(mixed, 0.0)) * _reference_unit_phase(G)
-        g_new = np.fft.ifft2(G_new, norm="ortho")
+        g_new = _reference_back_project(G_new, probe.shape)
         return window + np.conj(probe) * (g_new - g)
     G_sub = np.sqrt(pattern) * _reference_unit_phase(G)
-    g_prime = np.fft.ifft2(G_sub, norm="ortho")
+    g_prime = _reference_back_project(G_sub, probe.shape)
     window_prime = window + np.conj(probe) * (g_prime - g)
     mod = t.inv((1.0 - mu) * t.fwd(np.abs(window))
                 + mu * t.fwd(np.abs(window_prime)))
@@ -136,15 +183,19 @@ RULE_CASES = {
 }
 
 
-@pytest.mark.parametrize("rule", RULE_CASES.values(), ids=RULE_CASES.keys())
-def test_update_matches_the_reference_formulas_bit_for_bit(rule):
+@pytest.mark.parametrize("rule, oversampling", [
+    pytest.param(rule, s, id=key if s == 1 else f"{key}-os{s}")
+    for s in (1, 5) for key, rule in RULE_CASES.items()])
+def test_update_matches_the_reference_formulas_bit_for_bit(rule, oversampling):
+    # at oversampling 5 the rule works in G's 160x160 grid, which it may
+    # overwrite, and the reference in arrays of its own
     window = random_field((3, 32, 32), 30)
     window.flat[::37] = 0.0
     probe = pb.make_probe("gaussian", 8, (32, 32))
     g = window * probe
-    G = np.fft.fft2(g, norm="ortho")
+    G = np.fft.fft2(zero_pad_center(g, oversampling), norm="ortho")
     G.flat[::41] = 0.0
-    pattern = np.abs(random_field((3, 32, 32), 31)) ** 2 * 50
+    pattern = np.abs(random_field(G.shape, 31)) ** 2 * 50
     with np.errstate(all="ignore"):
         expected = _reference_update(rule, window, g, G, pattern, probe, 0.1)
         got = window.copy()
@@ -431,6 +482,27 @@ def test_unscorable_slice_fails_alone():
     assert str(state.failures[0]) == str(raised.value)
     ((_, errors),) = state.error_log
     assert np.isnan(errors[0]) and errors[1] == 0.0
+
+
+def test_a_truth_that_is_zero_on_the_mask_is_a_bad_input():
+    # no estimate has a relative error against a zero truth: the run stops
+    # with a plain ValueError, on a single dataset and on a stack alike,
+    # rather than recording a numeric failure
+    truth, dataset = toy_problem(seed=16)
+    zero = np.zeros_like(truth)
+    stack = Dataset(dataset.geometry, np.stack([dataset.patterns] * 2, axis=1),
+                    dataset.probe)
+    runs = [lambda data: run_scheme(scheme(1, 2, 2), data, true_object=zero),
+            lambda data: adapt_constraints(
+                data, AdapterConfig(inner_sweeps=1, outer_rounds=1),
+                true_object=zero)]
+    for run in runs:
+        for data in (dataset, stack):
+            with pytest.raises(ValueError,
+                               match="ground truth is zero on the mask"
+                               ) as raised:
+                run(data)
+            assert not isinstance(raised.value, ArithmeticError)
 
 
 def test_refine_sweeps_and_returns_the_state_it_is_given():

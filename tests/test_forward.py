@@ -215,6 +215,23 @@ def test_pruned_transforms_keep_the_dtype_of_the_full_ones(dtype):
                           crop_center(idft2(F), 31, 29))
 
 
+@pytest.mark.parametrize("oversampling", [1, 5])
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.float32])
+def test_transforms_and_diffract_write_no_input(dtype, oversampling):
+    # far_field and back_project run their passes in place in arrays of
+    # their own, and diffract squares its modulus in place
+    x = random_object((2, 9, 7), 14)
+    x = (x if np.dtype(dtype).kind == "c" else x.real).astype(dtype)
+    F = far_field(x, oversampling)
+    kept_x, kept_F = x.tobytes(), F.tobytes()
+    results = [far_field(x, oversampling), diffract(x, oversampling),
+               back_project(F, (9, 7))]
+    assert x.tobytes() == kept_x and F.tobytes() == kept_F
+    assert not any(np.shares_memory(got, x) or np.shares_memory(got, F)
+                   for got in results)
+    assert np.array_equal(results[1], np.abs(F) ** 2)
+
+
 def test_far_field_and_back_project_reject_bad_sizes():
     with pytest.raises(ValueError, match="factor must be >= 1"):
         far_field(np.zeros((8, 8), dtype=complex), 0)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 # imported before any memory is traced: a pooled grid imports it on first
 # use, and its modules are not the grid's memory
 import concurrent.futures  # noqa: F401
@@ -526,6 +527,92 @@ def test_concurrent_adapter_runs_hold_one_pattern_stack_each(monkeypatch):
     # two runs at a time hold two pattern stacks and their temporaries; a
     # noise-free stack held for the grid would add a third
     assert adapter_grid_peak(monkeypatch, 2) < 2.5
+
+
+# a 32x32 window's far field at oversampling 5: one complex 160x160 grid
+FAR_FIELD_BYTES = 160 * 160 * 16
+
+
+def oversampled_problem():
+    """The adapter_os5 benchmark's problem at 160x160 patterns: Fourier-space
+    speckle data on a 64x64 object scanned by a 32x32 window, one drawn
+    realization, and its four schemes."""
+    cfg = small_config(object_dims=(64, 64), window=(32, 32), scan_step=8,
+                       probe_radius=10.0, mode="fourier_space",
+                       noise_model="speckle", photon_budget=1e5,
+                       oversampling=5, adapter=True, realizations=1,
+                       scheme_ids=(1, 2, 9, 15), adapter_inner_sweeps=1,
+                       adapter_outer_rounds=1)
+    problem = build_problem(cfg)
+    _, probe, geometry = problem[:3]
+    dataset = Dataset(geometry,
+                      ptybench.harness.noisy_patterns(cfg, problem, [0]),
+                      probe)
+    return cfg, problem, dataset
+
+
+def test_oversampling_5_position_steps_stay_within_their_grid_budgets():
+    # what each step allocates over what its caller holds, in far-field
+    # grids: the rules write into the far field they are given, the draws
+    # into their output, and the adapter's mixing into the targets, so each
+    # holds only the grids its formula needs at once
+    cfg, problem, dataset = oversampled_problem()
+    truth, probe, geometry, _, specs, adapter = problem
+    obj = truth[None]  # the one-realization stack a run sweeps
+    j = len(geometry.positions) // 2
+    pos = geometry.positions[j]
+    (r, c), (wh, ww) = pos, geometry.window
+    g = ptybench.forward.exit_wave(obj, probe, pos)
+    pattern = dataset.patterns[j]
+    ptybench.forward.back_project(ptybench.forward.far_field(g, 5), (wh, ww))
+    budgets = {  # grids, beside the far field that each update is given
+        # |G|^2, T(|G|^2), T'(|G|^2) and T(y), real half grids
+        "GradientDescent": 2.25,
+        # |G|^2 and the two transformed terms of the mix, then one pass
+        # of the back-projection
+        "FourierMix": 2.0,
+        # sqrt(y) and |G|, then one pass of the back-projection
+        "ObjectMix": 1.75,
+        # one pattern's uniform draws (Poisson: its integer counts)
+        **{model.value: 0.75 for model in NoiseModel},
+        # one predicted pattern: its far field and modulus
+        "mix_targets": 1.75,
+    }
+    peaks = {}
+    for name, spec in {type(spec.refinement_rule).__name__: spec
+                       for spec in specs}.items():
+        window = obj[..., r:r + wh, c:c + ww].copy()
+        G = ptybench.forward.far_field(g, 5)
+        peaks[name] = traced_peak(lambda: spec.refinement_rule.update(
+            window, g, G, pattern, probe, spec.mu))[1]
+    means = dataset.patterns[:3].copy()
+    for model in NoiseModel:
+        peaks[model.value] = traced_peak(
+            lambda: apply_noise(means, model, 7, out=means))[1]
+    peaks["mix_targets"] = traced_peak(lambda: ptybench.engine._mix_targets(
+        dataset, obj, adapter.mu_c))[1]
+    assert {key: round(peak / FAR_FIELD_BYTES, 2)
+            for key, peak in peaks.items()
+            if peak > budgets[key] * FAR_FIELD_BYTES} == {}
+
+
+def test_oversampling_5_adapter_runs_peak_within_3_5_far_field_grids():
+    # one sweep and one mixing pass of each adapter_os5 scheme: the sweep
+    # holds one far field and the temporaries of its update, which stay
+    # under 3.5 grids beside the run's own patterns
+    cfg, problem, _ = oversampled_problem()
+    truth, probe, geometry, mask, specs, adapter = problem
+    peaks = {}
+    for spec in specs:
+        dataset = Dataset(
+            geometry, ptybench.harness.noisy_patterns(cfg, problem, [0]),
+            probe)
+        config = replace(adapter, inner_rule=spec.refinement_rule,
+                         inner_mu=spec.mu)
+        peaks[spec.id] = traced_peak(lambda: ptybench.engine.adapt_in_place(
+            dataset, config, true_object=truth, mask=mask, seed=0))[1]
+    assert max(peaks.values()) < 3.5 * FAR_FIELD_BYTES, {
+        sid: round(peak / FAR_FIELD_BYTES, 2) for sid, peak in peaks.items()}
 
 
 def test_programming_error_propagates(monkeypatch):

@@ -115,6 +115,21 @@ def test_zero_estimate_raises():
         align_and_error(np.zeros((4, 4), dtype=complex), truth)
 
 
+def test_zero_truth_on_the_mask_is_a_bad_input():
+    # zero off the mask is fine; zero on it leaves no relative error, and
+    # is refused as a bad input, not as an arithmetic failure
+    truth = random_field((4, 4), 10)
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1:3, 1:3] = True
+    truth[~mask] = 0
+    assert align_and_error(truth, truth, mask) == 0.0
+    truth[mask] = 0
+    for estimate in (random_field((4, 4), 12), np.zeros((4, 4), complex)):
+        with pytest.raises(ValueError, match="ground truth is zero") as raised:
+            align_and_error(estimate, truth, mask)
+        assert not isinstance(raised.value, ArithmeticError)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         align_and_error(np.ones((4, 4), dtype=complex),

@@ -153,6 +153,23 @@ def test_apply_noise_returns_a_float_stack_of_its_own(model):
         assert np.array_equal(draw, means)
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 8, 8), (6,)],
+                         ids=["stack", "one_value_patterns"])
+@pytest.mark.parametrize("sampler", [sample_poisson, sample_speckle],
+                         ids=["poisson", "speckle"])
+def test_samplers_write_no_input_and_out_gives_the_same_bits(sampler, shape):
+    means = np.random.default_rng(6).random(shape) * 10
+    means.flat[:2] = [0.0, 5e-324]
+    kept = means.tobytes()
+    pure = sampler(means, 23)
+    assert means.tobytes() == kept
+    out = np.full_like(means, np.nan)
+    assert sampler(means, 23, out=out) is out
+    assert sampler(means, 23, out=means) is means  # over its own means
+    assert out.tobytes() == pure.tobytes()
+    assert means.tobytes() == pure.tobytes()
+
+
 @pytest.mark.parametrize("out", [np.empty((3, 8, 7)), np.empty((2, 3, 8, 8)),
                                  np.empty((3, 8, 8), dtype=np.float32)],
                          ids=["shape", "broadcast", "dtype"])
