@@ -9,7 +9,7 @@ Two families are implemented:
   constant log(y!) term dropped.
 
 Gradients are returned as the Fourier-domain residual R(u) such that
-dL/dg*(x) = back_project(R, window) for the window-sized exit wave g: the
+dL/dg*(x) = idft2(R, window) for the window-sized exit wave g: the
 inverse of R cropped to the window, since G is the transform of g
 zero-padded by the oversampling factor. z = |G|^2 is computed internally.
 `gradient_residual` and `residual` write no input; given `out=`, R is
@@ -220,9 +220,9 @@ def cost_eval(functional, z: np.ndarray, y: np.ndarray) -> float:
 
 def gradient_residual(functional, G: np.ndarray, y: np.ndarray,
                       out=None) -> np.ndarray:
-    """Fourier-domain residual R(u) with dL/dg* = back_project(R, window)
-    for the window-sized exit wave g, z = |G|^2; the functional's
-    `residual` gives its formula. No input is written unless it is `out`:
+    """Fourier-domain residual R(u) with dL/dg* = idft2(R, window) for
+    the window-sized exit wave g, z = |G|^2; the functional's `residual`
+    gives its formula. No input is written unless it is `out`:
     R is written there when it is given, and it may be G itself, the far
     field of a caller that owns it and reads it no more."""
     if G.shape != y.shape:

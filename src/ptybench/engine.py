@@ -17,8 +17,7 @@ import numpy as np
 
 from .cost import (Transform, TRANSFORMS, functional_by_name,
                    gradient_residual)
-from .forward import (Dataset, back_project, diffract, exit_wave,
-                      far_field)
+from .forward import Dataset, diffract, exit_wave
 from .grids import dft2, idft2
 from .metrics import align_and_error
 
@@ -77,8 +76,8 @@ class GradientDescent:
     def step(self, G, pattern, probe, mu):
         """The descent step mu * conj(P) * dL/dg* for one position; the
         residual overwrites G."""
-        d = back_project(gradient_residual(self.functional, G, pattern,
-                                           out=G), probe.shape)
+        d = idft2(gradient_residual(self.functional, G, pattern, out=G),
+                  probe.shape)
         return mu * np.conj(probe) * d
 
     def update(self, window, g, G, pattern, probe, mu):
@@ -102,10 +101,10 @@ class FourierMix:
         phase = _unit_phase(G, mod, out=G)
         mod *= mod  # |G|^2, the bits of mod ** 2
         amp = self.transform.mix(mod, pattern, mu)
-        del mod  # freed before back_project makes its grid
+        del mod  # freed before idft2 makes its grid
         np.maximum(amp, 0.0, out=amp)
         np.sqrt(amp, out=amp)
-        g_new = back_project(np.multiply(amp, phase, out=phase), probe.shape)
+        g_new = idft2(np.multiply(amp, phase, out=phase), probe.shape)
         window += np.conj(probe) * (g_new - g)
 
     def describe(self):
@@ -122,8 +121,8 @@ class ObjectMix:
     def update(self, window, g, G, pattern, probe, mu):
         if mu == 0.0:
             return
-        g_prime = back_project(modulus_substitute(G, np.sqrt(pattern), out=G),
-                               probe.shape)
+        g_prime = idft2(modulus_substitute(G, np.sqrt(pattern), out=G),
+                        probe.shape)
         window_prime = window + np.conj(probe) * (g_prime - g)
         amp, amp_prime = np.abs(window), np.abs(window_prime)
         mod = self.transform.mix(amp, amp_prime, mu)
@@ -221,7 +220,7 @@ def position_sweep(state: ReconstructionState, dataset: Dataset,
     s = dataset.oversampling
     for j in state.rng.permutation(len(positions)):
         g = exit_wave(obj, dataset.probe, positions[j])
-        G = far_field(g, s)
+        G = dft2(g, s)
         r, c = positions[j]
         rule.update(obj[..., r:r + wh, c:c + ww], g, G, dataset.patterns[j],
                     dataset.probe, mu)
@@ -239,7 +238,7 @@ def global_gradient_step(state: ReconstructionState, dataset: Dataset,
     rule = GradientDescent(functional)
     accum = np.zeros_like(obj)
     for pos, pattern in zip(dataset.geometry.positions, dataset.patterns):
-        G = far_field(exit_wave(obj, dataset.probe, pos), s)
+        G = dft2(exit_wave(obj, dataset.probe, pos), s)
         r, c = pos
         accum[..., r:r + wh, c:c + ww] += rule.step(G, pattern, dataset.probe,
                                                     1.0)

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import center_offset, crop_center, dft2, idft2, zero_pad_center
+from .grids import dft2
 
 
 class Mode(Enum):
@@ -165,56 +165,9 @@ def exit_wave(obj: np.ndarray, probe: np.ndarray, position: tuple) -> np.ndarray
     return obj[..., r:r + wh, c:c + ww] * probe
 
 
-# dft2/idft2 are two 1-D ortho passes, last axis first (see grids), so
-# running the passes here and skipping the lines that are all zero on input
-# or thrown away on output gives the full 2D results bit for bit (FFT
-# pruning; Markel, IEEE Trans. Audio Electroacoust. 19, 305 (1971)).
-
-def far_field(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
-    """Far field F{exit wave zero-padded by the oversampling factor}, equal
-    bit for bit to dft2(zero_pad_center(exit_field, oversampling)).
-
-    Above factor 1 the first (last-axis) pass runs only on the exit wave's
-    own rows, since the padding rows transform to zero. Both passes run in
-    the padded grid, which is the one full-size array a call allocates.
-    """
-    if oversampling == 1:
-        return dft2(exit_field)
-    F = zero_pad_center(exit_field, oversampling)
-    h = exit_field.shape[-2]
-    r0 = center_offset(F.shape[-2], h)
-    rows = F[..., r0:r0 + h, :]
-    # in place on a complex grid (out=: numpy >= 2.0); a real field's rows
-    # transform from real input, as in dft2, into a new array
-    rows = np.fft.fft(rows, axis=-1, norm="ortho",
-                      out=rows if np.iscomplexobj(rows) else None)
-    F = F.astype(rows.dtype, copy=False)  # complex, as dft2 would give
-    F[..., r0:r0 + h, :] = rows  # no copy when the pass ran in place
-    return np.fft.fft(F, axis=-2, norm="ortho", out=F)
-
-
-def back_project(F: np.ndarray, window: tuple) -> np.ndarray:
-    """The window-sized exit wave of a far field, `far_field` inverted:
-    equal bit for bit to crop_center(idft2(F), *window).
-
-    For a far field larger than the window the second (axis -2) pass runs
-    only on the window's own columns, since the others are cropped away.
-    """
-    h, w = window
-    H, W = F.shape[-2:]
-    if (h, w) == (H, W):
-        # the general path below gives the same bits; this one skips its
-        # two crop copies, and a factor-1 trace counts the transform as
-        # grids.idft2
-        return idft2(F)
-    cols = crop_center(np.fft.ifft(F, axis=-1, norm="ortho"), H, w)
-    np.fft.ifft(cols, axis=-2, norm="ortho", out=cols)
-    return crop_center(cols, h, w)
-
-
 def diffract(exit_field: np.ndarray, oversampling: int) -> np.ndarray:
     """Far-field intensity |F{padded exit wave}|^2."""
-    z = np.abs(far_field(exit_field, oversampling))
+    z = np.abs(dft2(exit_field, oversampling))
     z *= z  # the bits of ** 2, without a second intensity grid
     return z
 

@@ -564,7 +564,7 @@ def test_oversampling_5_position_steps_stay_within_their_grid_budgets():
     (r, c), (wh, ww) = pos, geometry.window
     g = ptybench.forward.exit_wave(obj, probe, pos)
     pattern = dataset.patterns[j]
-    ptybench.forward.back_project(ptybench.forward.far_field(g, 5), (wh, ww))
+    ptybench.idft2(ptybench.dft2(g, 5), (wh, ww))
     budgets = {  # grids, beside the far field that each update is given
         # |G|^2, T(|G|^2), T'(|G|^2) and T(y), real half grids
         "GradientDescent": 2.25,
@@ -582,7 +582,7 @@ def test_oversampling_5_position_steps_stay_within_their_grid_budgets():
     for name, spec in {type(spec.refinement_rule).__name__: spec
                        for spec in specs}.items():
         window = obj[..., r:r + wh, c:c + ww].copy()
-        G = ptybench.forward.far_field(g, 5)
+        G = ptybench.dft2(g, 5)
         peaks[name] = traced_peak(lambda: spec.refinement_rule.update(
             window, g, G, pattern, probe, spec.mu))[1]
     means = dataset.patterns[:3].copy()

@@ -46,12 +46,12 @@ def test_arguments_the_tracer_reads_by_position():
         assert _parameters(fn)[0] == "field"
 
 
-def _toy_dataset():
+def _toy_dataset(oversampling=1):
     """Four positions of an 8x8 probe on a 16x16 object."""
     probe = pb.make_probe("tophat", 3, (8, 8))
     geometry = pb.raster_positions((16, 16), (8, 8), step=8, jitter=0)
     patterns = pb.simulate_dataset(np.ones((16, 16), complex), probe,
-                                   geometry, pb.Mode.REAL_SPACE, 1)
+                                   geometry, pb.Mode.REAL_SPACE, oversampling)
     return pb.Dataset(geometry, patterns, probe)
 
 
@@ -71,9 +71,14 @@ def test_warmup_sweeps_pass_the_warmup_rule(monkeypatch):
         True, True, False]
 
 
-def test_tracer_counts_the_work_of_a_real_run(spans):
-    # a refactor that bypasses a wrapped name changes these counts
-    dataset = _toy_dataset()
+@pytest.mark.parametrize("oversampling, padcrop_calls", [(1, 0), (5, 36)],
+                         ids=["os1", "os5"])
+def test_tracer_counts_the_work_of_a_real_run(spans, oversampling,
+                                              padcrop_calls):
+    # a refactor that bypasses a wrapped name changes these counts: each of
+    # the 12 position updates runs one dft2 and one idft2, which above
+    # oversampling 1 pad the exit wave once and crop the inverse twice
+    dataset = _toy_dataset(oversampling)
     n = len(dataset.geometry.positions)
     assert n == 4
     tracer = spans.Tracer()
@@ -85,8 +90,9 @@ def test_tracer_counts_the_work_of_a_real_run(spans):
         tracer.uninstall()
     counts = tracer.end_grid()
     assert (counts["engine.sweeps"], counts["engine.warmup_sweeps"],
-            counts["engine.position_updates"], counts["grids.fft_calls"]) == (
-        3, 2, 3 * n, 6 * n)
+            counts["engine.position_updates"], counts["grids.fft_calls"],
+            counts["grids.padcrop_calls"]) == (
+        3, 2, 3 * n, 6 * n, padcrop_calls)
 
 
 @pytest.mark.parametrize("settings, expected", [
