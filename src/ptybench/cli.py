@@ -156,8 +156,10 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="run one scheme on a dataset")
     p.add_argument("dataset", help="dataset .npz from `simulate`")
     p.add_argument("--scheme", type=int, required=True, help="scheme id 1..20")
-    p.add_argument("--warmup", type=int, default=100)
-    p.add_argument("--refinement", type=int, default=200)
+    p.add_argument("--warmup", type=int,
+                   default=engine.SchemeSpec.warmup_iterations)
+    p.add_argument("--refinement", type=int,
+                   default=engine.SchemeSpec.refinement_iterations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="optional .npz path for the estimate")
     p.set_defaults(func=_cmd_reconstruct)

@@ -20,6 +20,7 @@ from .cost import (Transform, TRANSFORMS, functional_by_name,
 from .forward import Dataset, diffract, exit_wave
 from .grids import dft2, idft2
 from .metrics import align_and_error
+from .noise import require_nonnegative
 
 
 def _unit_phase(v, mod=None, out=None):
@@ -43,9 +44,7 @@ def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray,
     which may be G itself."""
     if G.shape != target_amplitude.shape:
         raise ValueError("shape mismatch in modulus substitution")
-    # a NaN target passes, and no boolean array is made
-    if np.fmin.reduce(target_amplitude, axis=None, initial=0.0) < 0:
-        raise ValueError("target amplitude must be nonnegative")
+    require_nonnegative(target_amplitude, "target amplitude")
     phase = _unit_phase(G, out=out)
     return np.multiply(target_amplitude, phase, out=phase)
 
@@ -265,34 +264,32 @@ class SchemeSpec:
 _AMPLITUDE = functional_by_name("sqrt")
 WARMUP_RULE = GradientDescent(_AMPLITUDE)
 
-_GD_FUNCTIONALS = ["sqrt", "pow_0.7", "pow_0.9", "anscombe", "sqrt_plus_1",
-                   "log_half", "log_1"]
 _MIX_TRANSFORMS = ["anscombe", "sqrt_plus_1", "pow_0.7", "identity",
                    "log_half", "log_1"]
 
+# each scheme's refinement rule, numbered from 1 in list order. Scheme 1 is
+# Error Reduction throughout: the warmup's rule at mu 1, as an object of its
+# own, so only warmup sweeps run WARMUP_RULE itself
+_RULES = ([GradientDescent(_AMPLITUDE)]
+          + [GradientDescent(functional_by_name(name))
+             for name in ["sqrt", "pow_0.7", "pow_0.9", "anscombe",
+                          "sqrt_plus_1", "log_half", "log_1"]]
+          + [FourierMix(TRANSFORMS[name]) for name in _MIX_TRANSFORMS]
+          + [ObjectMix(TRANSFORMS[name]) for name in _MIX_TRANSFORMS])
 
-def _build_schemes():
-    schemes = {}
-    # scheme 1: Error Reduction throughout (amplitude cost, mu = 1)
-    schemes[1] = SchemeSpec(1, GradientDescent(_AMPLITUDE), 1.0)
-    for i, name in enumerate(_GD_FUNCTIONALS, start=2):
-        schemes[i] = SchemeSpec(i, GradientDescent(functional_by_name(name)), 0.1)
-    for i, name in enumerate(_MIX_TRANSFORMS, start=9):
-        schemes[i] = SchemeSpec(i, FourierMix(TRANSFORMS[name]), 0.1)
-    for i, name in enumerate(_MIX_TRANSFORMS, start=15):
-        schemes[i] = SchemeSpec(i, ObjectMix(TRANSFORMS[name]), 0.1)
-    return schemes
-
-
-SCHEMES = _build_schemes()
+SCHEMES = {i: SchemeSpec(i, rule, 1.0 if i == 1 else 0.1)
+           for i, rule in enumerate(_RULES, start=1)}
 
 
-def scheme(scheme_id: int, warmup_iterations: int = 100,
-           refinement_iterations: int = 200) -> SchemeSpec:
+def scheme(scheme_id: int,
+           warmup_iterations: int = SchemeSpec.warmup_iterations,
+           refinement_iterations: int = SchemeSpec.refinement_iterations
+           ) -> SchemeSpec:
     """Look up a benchmark scheme by its stable id (1..20), optionally
     overriding the iteration counts."""
     if scheme_id not in SCHEMES:
-        raise ValueError(f"unknown scheme id {scheme_id}; valid ids are 1..20")
+        raise ValueError(f"unknown scheme id {scheme_id}; valid ids are "
+                         f"1..{len(SCHEMES)}")
     if warmup_iterations < 0 or refinement_iterations < 0:
         raise ValueError(f"sweep counts must be >= 0, got "
                          f"{warmup_iterations}, {refinement_iterations}")
@@ -410,8 +407,8 @@ def _mix_targets(dataset: Dataset, obj: np.ndarray, mu_c: float):
     m_tilde = dataset.patterns
     for j, pos in enumerate(dataset.geometry.positions):
         m_tilde[j] *= 1.0 - mu_c
-        # the estimate already lives in the effective (real-space-
-        # equivalent) domain, so always re-simulate in real-space terms
+        # the estimate is of the effective object, so its prediction is the
+        # plain forward model in either mode
         z = diffract(exit_wave(obj, dataset.probe, pos), dataset.oversampling)
         m_tilde[j] += np.multiply(mu_c, z, out=z)
         del z

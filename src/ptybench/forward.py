@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import dft2
+from .noise import float_buffer, require_nonnegative
 
 
 class Mode(Enum):
@@ -76,9 +77,7 @@ class Dataset:
             raise ValueError(f"pattern shape {self.patterns.shape[-2:]} is "
                              f"not s times the scan window {(wh, ww)} for "
                              f"one integer s >= 1")
-        # NaN is skipped, as by np.any(x < 0), and no boolean stack is made
-        if np.fmin.reduce(self.patterns, axis=None, initial=0.0) < 0:
-            raise ValueError("intensity patterns must be nonnegative")
+        require_nonnegative(self.patterns, "intensity patterns")
 
     @property
     def oversampling(self) -> int:
@@ -112,12 +111,14 @@ def make_probe(kind: str, radius: float, window: tuple) -> np.ndarray:
         if radius <= 0:
             raise ValueError("gaussian probe needs radius > 0")
         probe = np.exp(-r2 / (2 * radius ** 2))
-        # unit peak even on even-sized windows where the geometric center
-        # falls between pixels
-        probe = probe / probe.max()
     else:
         raise ValueError(f"unknown probe kind {kind!r}")
-    return probe.astype(complex)
+    if not probe.any():
+        raise ValueError(f"a {kind} probe of radius {radius} lights no "
+                         f"pixel of the window {window}")
+    # unit peak even on even-sized windows where the geometric center
+    # falls between pixels (a tophat's peak is already 1)
+    return (probe / probe.max()).astype(complex)
 
 
 def raster_positions(object_dims: tuple, window: tuple, step: int,
@@ -194,11 +195,7 @@ def simulate_dataset(obj: np.ndarray, probe: np.ndarray,
     s = oversampling
     shape = ((len(geometry.positions),) + obj.shape[:-2]
              + (s * wh, s * ww))
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != float:
-        raise ValueError(f"out must be a float array of shape {shape}, "
-                         f"got {out.dtype} {out.shape}")
+    out = float_buffer(shape, out)
     for j, pos in enumerate(geometry.positions):
         out[j] = diffract(exit_wave(effective, probe, pos), s)
     return out

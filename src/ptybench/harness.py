@@ -49,12 +49,12 @@ class ExperimentConfig:
     noise_model: str = "poisson"          # noise_free | poisson | speckle
     photon_budget: float = 1e5
     scheme_ids: tuple = tuple(range(1, 21))
-    warmup_iterations: int = 100
-    refinement_iterations: int = 200
+    warmup_iterations: int = engine.SchemeSpec.warmup_iterations
+    refinement_iterations: int = engine.SchemeSpec.refinement_iterations
     adapter: bool = False
-    adapter_mu_c: float = 0.1
-    adapter_inner_sweeps: int = 5
-    adapter_outer_rounds: int = 40
+    adapter_mu_c: float = engine.AdapterConfig.mu_c
+    adapter_inner_sweeps: int = engine.AdapterConfig.inner_sweeps
+    adapter_outer_rounds: int = engine.AdapterConfig.outer_rounds
     realizations: int = 20
     master_seed: int = 0
     output_dir: str = "results"

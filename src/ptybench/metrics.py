@@ -20,6 +20,9 @@ def illumination_mask(probe: np.ndarray, geometry: ScanGeometry,
     coverage = np.zeros(geometry.object_dims)
     wh, ww = probe.shape
     intensity = np.abs(probe) ** 2
+    if not 0.0 < intensity.max() < np.inf:
+        raise ValueError(f"probe intensity must have a finite positive "
+                         f"peak, got {intensity.max()}")
     for (r, c) in geometry.positions:
         coverage[r:r + wh, c:c + ww] += intensity
     mask = coverage >= threshold * coverage.max()

@@ -3,6 +3,10 @@
 Samplers draw one independent substream per pattern, keyed by
 (seed, pattern index), so adding patterns to a stack never changes the
 draws of earlier patterns.
+
+This module also owns the two rules on intensity buffers that `forward`
+and `engine` share: `float_buffer` checks an `out=` stack, and
+`require_nonnegative` refuses a negative intensity.
 """
 
 import math
@@ -41,23 +45,28 @@ def _pattern_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _output(means: np.ndarray, out) -> np.ndarray:
-    """`out`, checked to hold one float per mean, or a new such array."""
+def float_buffer(shape: tuple, out=None) -> np.ndarray:
+    """`out`, checked to be a float array of `shape`, or a new such array."""
     if out is None:
-        return np.empty_like(means, dtype=float)
-    if out.shape != means.shape or out.dtype != float:
-        raise ValueError(f"out must be a float array of shape {means.shape}, "
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != float:
+        raise ValueError(f"out must be a float array of shape {shape}, "
                          f"got {out.dtype} {out.shape}")
     return out
+
+
+def require_nonnegative(x: np.ndarray, what: str):
+    """Refuse `x` if it holds a negative value. NaN is skipped, as by
+    np.any(x < 0), and no boolean array is made."""
+    if np.fmin.reduce(x, axis=None, initial=0.0) < 0:
+        raise ValueError(f"{what} must be nonnegative")
 
 
 def sample_poisson(means: np.ndarray, seed: int, out=None) -> np.ndarray:
     """Independent Poisson draws with the given per-pixel means (integer
     counts, float array), written into `out` when it is given."""
-    # NaN is skipped, as by np.any(means < 0), and no boolean stack is made
-    if np.fmin.reduce(means, axis=None, initial=0.0) < 0:
-        raise ValueError("Poisson means must be nonnegative")
-    out = _output(means, out)
+    require_nonnegative(means, "Poisson means")
+    out = float_buffer(means.shape, out)
     for j in range(len(means)):
         out[j] = _pattern_rng(seed, j).poisson(means[j])
     return out
@@ -67,9 +76,8 @@ def sample_speckle(means: np.ndarray, seed: int, out=None) -> np.ndarray:
     """Independent exponential draws with the given per-pixel means
     (fully developed speckle: intensity ~ Exp(mean)), written into `out`
     when it is given."""
-    if np.fmin.reduce(means, axis=None, initial=0.0) < 0:
-        raise ValueError("speckle means must be nonnegative")
-    out = _output(means, out)
+    require_nonnegative(means, "speckle means")
+    out = float_buffer(means.shape, out)
     u = np.empty(means.shape[1:])  # one pattern's draws, reused
     for j in range(len(means)):
         _pattern_rng(seed, j).random(out=u)  # [0, 1)
@@ -87,7 +95,7 @@ def apply_noise(stack: np.ndarray, model: NoiseModel, seed: int,
     float array of the stack's shape) when it is given, so no second stack
     is allocated; the draw is the same either way."""
     if model is NoiseModel.NOISE_FREE:
-        out = _output(stack, out)
+        out = float_buffer(stack.shape, out)
         np.copyto(out, stack)
         return out
     if model is NoiseModel.POISSON:

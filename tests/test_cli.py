@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import ptybench.engine
-from ptybench.cli import main
+from ptybench.cli import build_parser, main
+from ptybench.harness import ExperimentConfig
 
 
 CONFIG_TEXT = """
@@ -217,6 +218,41 @@ def test_unwritable_output_fails_before_any_work(tmp_path, config_file,
     assert sorted(tmp_path.iterdir()) == before
     assert calls == []
     assert not missing.exists()
+
+
+def test_sweep_and_adapter_defaults_agree_everywhere():
+    spec = ptybench.engine.SchemeSpec(0, None, 0.0)
+    adapter = ptybench.engine.AdapterConfig()
+    counts = (spec.warmup_iterations, spec.refinement_iterations)
+    cfg = ExperimentConfig()
+    assert (cfg.warmup_iterations, cfg.refinement_iterations) == counts
+    assert (cfg.adapter_mu_c, cfg.adapter_inner_sweeps,
+            cfg.adapter_outer_rounds) == (adapter.mu_c, adapter.inner_sweeps,
+                                          adapter.outer_rounds)
+    looked_up = ptybench.engine.scheme(3)
+    assert (looked_up.warmup_iterations,
+            looked_up.refinement_iterations) == counts
+    args = build_parser().parse_args(["reconstruct", "data.npz",
+                                      "--scheme", "3"])
+    assert (args.warmup, args.refinement) == counts
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+def test_reconstruct_refuses_a_dataset_probe_without_intensity(
+        tmp_path, config_file, capsys, value):
+    data = tmp_path / "data.npz"
+    main(["simulate", config_file, str(data)])
+    with np.load(data) as stored:
+        arrays = dict(stored)
+    arrays["probe"] = np.full_like(arrays["probe"], value)
+    dark = tmp_path / "dark.npz"
+    np.savez_compressed(dark, **arrays)
+    capsys.readouterr()
+    assert main(["reconstruct", str(dark), "--scheme", "1", "--warmup", "1",
+                 "--refinement", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "sweeps" not in captured.out
+    assert captured.err.startswith("error: ValueError: probe intensity")
 
 
 def test_reconstruct_rejects_negative_sweep_counts(tmp_path, config_file,

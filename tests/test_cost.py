@@ -143,6 +143,11 @@ def test_loglik_cost_single_pixel():
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
+def test_unknown_functional_name_raises():
+    with pytest.raises(ValueError, match="unknown cost functional 'nope'"):
+        functional_by_name("nope")
+
+
 def test_cost_shape_mismatch_raises():
     with pytest.raises(ValueError):
         cost_eval(functional_by_name("sqrt"), np.ones((2, 2)),

@@ -40,6 +40,11 @@ def test_modulus_substitute_fixed_point():
     assert np.allclose(modulus_substitute(G, np.abs(G)), G, atol=1e-14)
 
 
+def test_modulus_substitute_refuses_a_target_of_another_shape():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        modulus_substitute(np.ones((4, 4), dtype=complex), np.ones((4, 5)))
+
+
 def test_modulus_substitute_scalar_case():
     out = modulus_substitute(np.array([[2.0 + 0.0j]]), np.array([[3.0]]))
     assert out[0, 0] == 3.0 + 0.0j

@@ -51,6 +51,20 @@ def test_probe_radius_negative_or_nan_raises(kind, radius):
         make_probe(kind, radius, (16, 16))
 
 
+def test_gaussian_probe_radius_zero_raises():
+    with pytest.raises(ValueError, match="gaussian probe needs radius > 0"):
+        make_probe("gaussian", 0, (16, 16))
+
+
+@pytest.mark.parametrize("kind, radius", [("tophat", 0.3),
+                                          ("gaussian", 0.01)])
+def test_probe_that_lights_no_pixel_raises(kind, radius):
+    # the disc holds no pixel centre of the even window, and the gaussian
+    # underflows to zero at every pixel
+    with pytest.raises(ValueError, match="lights no pixel"):
+        make_probe(kind, radius, (16, 16))
+
+
 # --- scan geometry ---------------------------------------------------------
 
 def test_raster_count_no_jitter():
@@ -361,6 +375,13 @@ def test_constant_object_gives_identical_patterns():
 def test_degenerate_ranges_give_constant_object():
     obj = synthesize_object("checkerboard_text", (16, 16), (1, 1), (0, 0))
     assert np.allclose(obj, 1.0 + 0.0j, atol=1e-14)
+
+
+def test_degenerate_amplitude_range_gives_constant_smooth_amplitude():
+    obj = synthesize_object("smooth_portrait", (16, 16),
+                            amplitude_range=(0.5, 0.5), seed=3)
+    assert np.allclose(np.abs(obj), 0.5, rtol=0, atol=1e-15)
+    assert np.ptp(np.angle(obj)) > 0  # only the amplitude is constant
 
 
 @pytest.mark.parametrize("kind", ["checkerboard_text", "smooth_portrait"])

@@ -87,6 +87,12 @@ def test_crop_too_large_raises():
         crop_center(np.zeros((4, 4), dtype=complex), 5, 4)
 
 
+@pytest.mark.parametrize("transform", [dft2, idft2])
+def test_transforms_refuse_1d_input(transform):
+    with pytest.raises(ValueError, match="at least 2 dimensions"):
+        transform(np.zeros(8, dtype=complex))
+
+
 def test_pad_factor_below_one_raises():
     with pytest.raises(ValueError):
         zero_pad_center(np.zeros((4, 4), dtype=complex), 0)

@@ -166,6 +166,8 @@ def test_config_validation():
     (dict(probe_radius=20.0), "probe_radius"),
     (dict(probe_radius=-10.0), "probe_radius"),
     (dict(probe_radius=float("nan")), "probe_radius"),
+    # no pixel centre of the 16x16 window lies within 0.3 of its centre
+    (dict(probe_radius=0.3), "^probe_kind, probe_radius, window: .*lights no"),
     (dict(scan_step=0), "scan_step"),
     (dict(scan_step=8, scan_jitter=4), "scan_jitter"),
     (dict(object_kind="portrait"), "object_kind"),
@@ -180,10 +182,10 @@ def test_config_validation():
         "window_too_large", "adapter_mu_c_above_one", "no_schemes",
         "nan_photon_budget", "infinite_photon_budget", "window_three_dims",
         "object_dims_zero", "probe_radius_too_large", "probe_radius_negative",
-        "probe_radius_nan", "scan_step_zero", "jitter_half_step",
-        "unknown_object_kind", "unknown_probe_kind", "negative_master_seed",
-        "no_realizations", "empty_output_dir", "unknown_mode",
-        "unknown_noise_model"])
+        "probe_radius_nan", "tophat_lights_no_pixel", "scan_step_zero",
+        "jitter_half_step", "unknown_object_kind", "unknown_probe_kind",
+        "negative_master_seed", "no_realizations", "empty_output_dir",
+        "unknown_mode", "unknown_noise_model"])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_config(**overrides).validate()
@@ -557,7 +559,7 @@ def test_oversampling_5_position_steps_stay_within_their_grid_budgets():
     # into their output, and the adapter's mixing into the targets, so each
     # holds only the grids its formula needs at once
     cfg, problem, dataset = oversampled_problem()
-    truth, probe, geometry, _, specs, adapter = problem
+    truth, probe, geometry, _, _, adapter = problem
     obj = truth[None]  # the one-realization stack a run sweeps
     j = len(geometry.positions) // 2
     pos = geometry.positions[j]
@@ -578,12 +580,14 @@ def test_oversampling_5_position_steps_stay_within_their_grid_budgets():
         # one predicted pattern: its far field and modulus
         "mix_targets": 1.75,
     }
-    peaks = {}
-    for name, spec in {type(spec.refinement_rule).__name__: spec
-                       for spec in specs}.items():
+    # every registry scheme, against the budget of its rule's class
+    peaks, limits = {}, dict(budgets)
+    for spec in ptybench.SCHEMES.values():
         window = obj[..., r:r + wh, c:c + ww].copy()
         G = ptybench.dft2(g, 5)
-        peaks[name] = traced_peak(lambda: spec.refinement_rule.update(
+        key = f"scheme {spec.id}"
+        limits[key] = budgets[type(spec.refinement_rule).__name__]
+        peaks[key] = traced_peak(lambda: spec.refinement_rule.update(
             window, g, G, pattern, probe, spec.mu))[1]
     means = dataset.patterns[:3].copy()
     for model in NoiseModel:
@@ -593,7 +597,7 @@ def test_oversampling_5_position_steps_stay_within_their_grid_budgets():
         dataset, obj, adapter.mu_c))[1]
     assert {key: round(peak / FAR_FIELD_BYTES, 2)
             for key, peak in peaks.items()
-            if peak > budgets[key] * FAR_FIELD_BYTES} == {}
+            if peak > limits[key] * FAR_FIELD_BYTES} == {}
 
 
 def test_oversampling_5_adapter_runs_peak_within_3_5_far_field_grids():

@@ -50,6 +50,17 @@ def test_invalid_threshold_raises():
         illumination_mask(probe, geom, threshold=0.0)
 
 
+@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+def test_probe_without_intensity_raises(value):
+    # a zero probe would light every pixel, and lowering the threshold
+    # cannot help a NaN one
+    probe = np.full((8, 8), value, dtype=complex)
+    geom = pb.ScanGeometry(((0, 0),), (8, 8), (8, 8))
+    with pytest.raises(ValueError, match="probe intensity must have a "
+                                         "finite positive peak"):
+        illumination_mask(probe, geom)
+
+
 def test_global_phase_invariance():
     truth = random_field((16, 16), 0)
     assert align_and_error(np.exp(0.7j) * truth, truth) < 1e-12

@@ -35,6 +35,12 @@ def test_all_zero_stack_rejected():
         scale_to_budget(np.zeros((2, 4, 4)), 10.0)
 
 
+@pytest.mark.parametrize("budget", [0.0, float("nan"), float("inf")])
+def test_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(ValueError, match="photon budget must be positive"):
+        scale_to_budget(np.ones((2, 4, 4)), budget)
+
+
 # --- Poisson sampler ---------------------------------------------------------
 
 def test_poisson_zero_mean_gives_zero():
