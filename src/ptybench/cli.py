@@ -155,7 +155,8 @@ def build_parser():
 
     p = sub.add_parser("reconstruct", help="run one scheme on a dataset")
     p.add_argument("dataset", help="dataset .npz from `simulate`")
-    p.add_argument("--scheme", type=int, required=True, help="scheme id 1..20")
+    p.add_argument("--scheme", type=int, required=True,
+                   help=f"scheme id 1..{len(engine.SCHEMES)}")
     p.add_argument("--warmup", type=int,
                    default=engine.SchemeSpec.warmup_iterations)
     p.add_argument("--refinement", type=int,

@@ -23,14 +23,17 @@ from .metrics import align_and_error
 from .noise import require_nonnegative
 
 
+_TINY = np.finfo(float).tiny  # the smallest positive normal float
+
+
 def _unit_phase(v, mod=None, out=None):
-    """v / |v|, with the phase factor defined as 1 where v = 0 (or |v| is
-    NaN) so runs stay reproducible. `mod` is np.abs(v) when the caller has
-    already computed it; the phase is written into `out` when it is given,
-    which may be v itself."""
+    """v / |v|, with the phase factor defined as 1 where |v| is 0, NaN or
+    subnormal (1/|v| would overflow) so runs stay reproducible. `mod` is
+    np.abs(v) when the caller has already computed it; the phase is written
+    into `out` when it is given, which may be v itself."""
     if mod is None:
         mod = np.abs(v)
-    live = mod > 0
+    live = mod >= _TINY
     out = np.divide(v, mod, out=np.empty_like(v) if out is None else out,
                     where=live)
     np.copyto(out, 1, where=~live)
@@ -40,8 +43,8 @@ def _unit_phase(v, mod=None, out=None):
 def modulus_substitute(G: np.ndarray, target_amplitude: np.ndarray,
                        out=None) -> np.ndarray:
     """Replace |G| with the target amplitude while keeping the phase of G
-    (1 where |G| = 0); the result is written into `out` when it is given,
-    which may be G itself."""
+    (1 where |G| is 0, NaN or subnormal); the result is written into `out`
+    when it is given, which may be G itself."""
     if G.shape != target_amplitude.shape:
         raise ValueError("shape mismatch in modulus substitution")
     require_nonnegative(target_amplitude, "target amplitude")
@@ -285,8 +288,8 @@ def scheme(scheme_id: int,
            warmup_iterations: int = SchemeSpec.warmup_iterations,
            refinement_iterations: int = SchemeSpec.refinement_iterations
            ) -> SchemeSpec:
-    """Look up a benchmark scheme by its stable id (1..20), optionally
-    overriding the iteration counts."""
+    """Look up a benchmark scheme by its stable id, optionally overriding
+    the iteration counts."""
     if scheme_id not in SCHEMES:
         raise ValueError(f"unknown scheme id {scheme_id}; valid ids are "
                          f"1..{len(SCHEMES)}")

@@ -23,6 +23,7 @@ per-scheme summaries are derived from them.
 
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -48,7 +49,7 @@ class ExperimentConfig:
     oversampling: int = 1
     noise_model: str = "poisson"          # noise_free | poisson | speckle
     photon_budget: float = 1e5
-    scheme_ids: tuple = tuple(range(1, 21))
+    scheme_ids: tuple = tuple(engine.SCHEMES)
     warmup_iterations: int = engine.SchemeSpec.warmup_iterations
     refinement_iterations: int = engine.SchemeSpec.refinement_iterations
     adapter: bool = False
@@ -325,12 +326,10 @@ def _run_stack(cfg, problem, group, cells, pool):
 def environment(cfg: ExperimentConfig, workers: int) -> dict:
     """What a run ran on: package and interpreter versions, the config
     hash and the number of threads the grid's schemes ran on."""
-    # loaded here, not at import: every command would pay for it at start
-    import scipy
     from . import __version__
     return {"ptybench": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
-            "config_hash": cfg.hash(), "workers": workers}
+            "numpy": np.__version__, "config_hash": cfg.hash(),
+            "workers": workers}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -379,7 +378,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
 def compare_schemes(record: ExperimentRecord, baseline_id: int,
                     candidate_id: int) -> dict:
     """Paired per-realization comparison: median difference of final errors
-    (candidate - baseline) and a two-sided sign-test p-value."""
+    (candidate - baseline) and the exact two-sided sign-test p-value, the
+    binomial tail over the realizations where the two differ."""
     for sid in (baseline_id, candidate_id):
         if not any(key[0] == sid for key in record.cells):
             raise ValueError(f"scheme {sid} not present in the record")
@@ -394,12 +394,9 @@ def compare_schemes(record: ExperimentRecord, baseline_id: int,
     wins = int(np.sum(diffs < 0))
     losses = int(np.sum(diffs > 0))
     trials = wins + losses
-    if trials == 0:
-        p = 1.0
-    else:
-        # loaded by its one user: it is most of ptybench's import time
-        from scipy import stats
-        p = float(stats.binomtest(wins, trials, 0.5).pvalue)
+    # exact two-sided sign test at p = 1/2, in integers: 1.0 at no trials
+    tail = sum(math.comb(trials, i) for i in range(min(wins, losses) + 1))
+    p = min(1.0, 2 * tail / 2 ** trials)
     return {
         "baseline": baseline_id,
         "candidate": candidate_id,

@@ -220,7 +220,7 @@ def test_unwritable_output_fails_before_any_work(tmp_path, config_file,
     assert not missing.exists()
 
 
-def test_sweep_and_adapter_defaults_agree_everywhere():
+def test_sweep_and_adapter_defaults_agree_everywhere(capsys):
     spec = ptybench.engine.SchemeSpec(0, None, 0.0)
     adapter = ptybench.engine.AdapterConfig()
     counts = (spec.warmup_iterations, spec.refinement_iterations)
@@ -235,6 +235,13 @@ def test_sweep_and_adapter_defaults_agree_everywhere():
     args = build_parser().parse_args(["reconstruct", "data.npz",
                                       "--scheme", "3"])
     assert (args.warmup, args.refinement) == counts
+    # so is the registry's size, read from its one rule list
+    count = len(ptybench.engine.SCHEMES)
+    assert cfg.scheme_ids == tuple(range(1, count + 1))
+    assert cfg.hash() == "b43d3eceddc836ed"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["reconstruct", "--help"])
+    assert f"scheme id 1..{count}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])

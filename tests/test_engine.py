@@ -96,11 +96,14 @@ def test_unit_phase_matches_the_two_where_formula():
     v = special_field((6, 8), 3)
     with np.errstate(invalid="ignore", over="ignore"):
         mod = np.abs(v)
-        expected = np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
+        live = mod >= np.finfo(float).tiny
+        expected = np.where(live, v / np.where(live, mod, 1.0), 1.0)
         got = _unit_phase(v)
         given_mod = _unit_phase(v, np.abs(v))
     assert got.tobytes() == expected.tobytes()
     assert given_mod.tobytes() == expected.tobytes()
+    # a subnormal modulus is dark: dividing by it would overflow to inf
+    assert got.flat[8] == 1.0
 
 
 def test_unit_phase_writes_no_input_and_out_gives_the_same_bits():
@@ -135,6 +138,7 @@ def test_modulus_substitute_writes_no_input_and_out_gives_the_same_bits():
         assert modulus_substitute(own, target, out=own) is own
     assert own.tobytes() == pure.tobytes()
     assert target.tobytes() == kept_target
+    assert pure.flat[8] == target.flat[8]  # G's subnormal has phase 1
 
 
 # the rules' math as it was written before the phase took a precomputed
@@ -143,7 +147,7 @@ def test_modulus_substitute_writes_no_input_and_out_gives_the_same_bits():
 
 def _reference_unit_phase(v):
     mod = np.abs(v)
-    live = mod > 0
+    live = mod >= np.finfo(float).tiny
     out = v / np.where(live, mod, 1.0)
     out[~live] = 1.0
     return out

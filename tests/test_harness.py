@@ -12,6 +12,7 @@ import concurrent.futures  # noqa: F401
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import ptybench.engine
 import ptybench.forward
@@ -707,6 +708,24 @@ def test_compare_all_wins_p_value():
     assert result["sign_test_p"] == pytest.approx(2 * 0.5 ** 20, rel=1e-9)
 
 
+def test_sign_test_matches_the_binomial_tail():
+    # every (wins, losses) up to 60 trials, each beside one tied realization
+    # so that zero trials still has a pair
+    for trials in range(61):
+        for wins in range(trials + 1):
+            record = ExperimentRecord(config={}, config_hash="")
+            for r, error in enumerate([0.5] * wins + [1.5] * (trials - wins)
+                                      + [1.0]):
+                record.cells[(1, r)] = {"ok": True, "final_error": 1.0}
+                record.cells[(2, r)] = {"ok": True, "final_error": error}
+            p = compare_schemes(record, 1, 2)["sign_test_p"]
+            if trials == 0:
+                assert p == 1.0
+            else:
+                assert p == pytest.approx(
+                    stats.binomtest(wins, trials, 0.5).pvalue, rel=1e-12)
+
+
 def test_compare_pairs_on_realization_after_failed_cell():
     # the candidate fails in realization 0 and is 0.5 better in 1..3
     record = ExperimentRecord(config={}, config_hash="")
@@ -988,8 +1007,8 @@ def test_record_meta_says_what_ran_and_where_time_went(tmp_path):
     record = run_experiment(small_config(realizations=2))
     environment = record.meta["environment"]
     assert environment["config_hash"] == record.config_hash
-    assert set(environment) == {"ptybench", "python", "numpy", "scipy",
-                                "config_hash", "workers"}
+    assert set(environment) == {"ptybench", "python", "numpy", "config_hash",
+                                "workers"}
     assert environment["workers"] == 1  # oversampling 1: no pool
     (stack,) = record.meta["timings"]
     assert stack["realizations"] == 2
@@ -999,13 +1018,20 @@ def test_record_meta_says_what_ran_and_where_time_went(tmp_path):
     assert load_record(paths["record.json"]).meta == record.meta
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time; only compare_schemes needs it.
-    # scipy itself is loaded only when environment() reads its version
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is ptybench's one runtime dependency: a grid, its export, the
+    # record's load and a comparison run without scipy
     src = os.path.dirname(os.path.dirname(ptybench.forward.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import ptybench; "
-            "print('scipy.stats' in sys.modules, 'scipy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code, src],
+            "cfg = ptybench.ExperimentConfig(object_dims=(32, 32), "
+            "window=(16, 16), probe_radius=5.0, scheme_ids=(1, 2), "
+            "warmup_iterations=1, refinement_iterations=1, realizations=2); "
+            "record = ptybench.run_experiment(cfg); "
+            "paths = ptybench.export(record, sys.argv[2]); "
+            "record = ptybench.load_record(paths['record.json']); "
+            "print(ptybench.compare_schemes(record, 1, 2)['n_pairs'], "
+            "'scipy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)],
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False False"
+    assert result.stdout.strip() == "2 False"
 
