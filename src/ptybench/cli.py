@@ -36,7 +36,7 @@ def _save_dataset(path, cfg, dataset, truth):
         patterns=dataset.patterns,
         probe=dataset.probe,
         truth=truth,
-        config=json.dumps(cfg, default=list),
+        config=json.dumps(cfg),
     )
 
 

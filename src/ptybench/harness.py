@@ -61,9 +61,14 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self):
-        """Check the rules nothing else owns, then build with each owner.
-        Returns [mode, noise model, geometry, probe, object, scheme specs,
-        adapter settings]."""
+        """Check each field against its default's type and the rules nothing
+        else owns, then build with each owner (`noise` owns the photon-budget
+        rule). Returns [mode, noise model, geometry, probe, object, scheme
+        specs, adapter settings, photon budget]."""
+        for f in fields(self):
+            value, (_, accepts, kind) = getattr(self, f.name), _TYPES[f.type]
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.oversampling not in (1, 5):
             raise ValueError(f"oversampling must be 1 or 5, "
                              f"got {self.oversampling}")
@@ -80,9 +85,6 @@ class ExperimentConfig:
             if len(dims) != 2 or min(dims) < 1:
                 raise ValueError(f"{name} must be two positive ints, "
                                  f"got {dims}")
-        if not 0.0 < self.photon_budget < np.inf:
-            raise ValueError(f"photon budget must be positive and finite, "
-                             f"got {self.photon_budget}")
         pieces = []
         for keys, build in _OWNERS:
             try:
@@ -97,7 +99,7 @@ class ExperimentConfig:
         payload = {f.name: float(getattr(self, f.name)) if f.type is float
                    else getattr(self, f.name)
                    for f in fields(self) if f.name != "output_dir"}
-        text = json.dumps(payload, sort_keys=True, default=list)
+        text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -115,6 +117,7 @@ _OWNERS = (
      lambda ids, *counts: [engine.scheme(sid, *counts) for sid in ids]),
     (("adapter_mu_c", "adapter_inner_sweeps", "adapter_outer_rounds"),
      engine.AdapterConfig),
+    (("photon_budget",), noise.check_budget),
 )
 
 
@@ -132,13 +135,15 @@ def _parse_bool(value: str) -> bool:
     return lowered in ("1", "true", "yes")
 
 
-# value parser for each config field, by the type of its default
-_PARSERS = {
-    bool: _parse_bool,
-    int: int,
-    float: float,
-    str: str,
-    tuple: _parse_ints,
+# by a field's default type: text parser, value test, what the test accepts
+_TYPES = {
+    bool: (_parse_bool, lambda v: isinstance(v, bool), "a bool"),
+    int: (int, lambda v: type(v) is int, "an int"),
+    float: (float, lambda v: type(v) is int or isinstance(v, float),
+            "a number"),
+    str: (str, lambda v: isinstance(v, str), "a str"),
+    tuple: (_parse_ints, lambda v: isinstance(v, (tuple, list))
+            and all(type(x) is int for x in v), "a tuple of ints"),
 }
 
 
@@ -162,7 +167,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: {key} repeats line {seen[key]}")
         seen[key] = lineno
         try:
-            parsed = _PARSERS[type(defaults[key])](value)
+            parsed = _TYPES[type(defaults[key])][0](value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
         setattr(cfg, key, parsed)
@@ -213,7 +218,7 @@ def build_problem(cfg: ExperimentConfig):
     probe, geometry, mask, scheme specs, adapter settings) with everything
     `validate()` built. No pattern is simulated here: each draw simulates
     its own means (`noisy_patterns`)."""
-    mode, _, geometry, probe, truth, specs, adapter = cfg.validate()
+    mode, _, geometry, probe, truth, specs, adapter, _ = cfg.validate()
     if mode is Mode.FOURIER_SPACE:
         # modulate by (-1)^(x+y) so the object's spectrum is centered in
         # the scanned array: the pupil then scans around the zero
@@ -348,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
 
     # normalize tuples to lists so the in-memory record equals its JSON
     # round trip
-    config_echo = json.loads(json.dumps(asdict(cfg), default=list))
+    config_echo = json.loads(json.dumps(asdict(cfg)))
     record = ExperimentRecord(config=config_echo, config_hash=cfg.hash())
     record.meta["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     record.meta["environment"] = environment(cfg, workers)
@@ -465,6 +470,7 @@ def _check(ok, fault):
 
 def load_record(path: str) -> ExperimentRecord:
     """Load record.json back. A record not shaped as `export` writes it,
+    whose config fails `validate()` or does not hash to its config_hash,
     whose cells are not exactly its config's scheme x realization grid, or
     whose stored values are not those of its cells is refused."""
     with open(path, encoding="utf-8") as f:
@@ -474,12 +480,16 @@ def load_record(path: str) -> ExperimentRecord:
                        ("cells", list), ("summaries", dict)):
         _check(isinstance(payload.get(name), kind),
                f"{name!r} is missing or not a {kind.__name__}")
-    ids, count = map(payload["config"].get, ("scheme_ids", "realizations"))
-    # JSON ints: no bool or float that compares equal to one
-    _check(isinstance(ids, list)
-           and all(type(v) is int for v in ids + [count]),
-           "its config names no scheme_ids x realizations grid")
-    grid = {(sid, r) for sid in ids for r in range(count)}
+    try:
+        cfg = ExperimentConfig(**payload["config"])
+        cfg.validate()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed record: its config names no scheme_ids "
+                         f"x realizations grid: {exc}") from exc
+    _check(payload["config_hash"] == cfg.hash(), f"config_hash "
+           f"{payload['config_hash']!r} is not the hash of its config")
+    grid = {(sid, r) for sid in cfg.scheme_ids
+            for r in range(cfg.realizations)}
     record = ExperimentRecord(payload["config"], payload["config_hash"],
                               meta=payload.get("meta", {}))
     for n, cell in enumerate(payload["cells"]):

@@ -4,9 +4,10 @@ Samplers draw one independent substream per pattern, keyed by
 (seed, pattern index), so adding patterns to a stack never changes the
 draws of earlier patterns.
 
-This module also owns the two rules on intensity buffers that `forward`
-and `engine` share: `float_buffer` checks an `out=` stack, and
-`require_nonnegative` refuses a negative intensity.
+This module also owns the photon-budget rule, `check_budget`, which
+`budget_scale` and a config's `validate()` apply, and the two rules on
+intensity buffers that `forward` and `engine` share: `float_buffer` checks
+an `out=` stack, and `require_nonnegative` refuses a negative intensity.
 """
 
 import math
@@ -21,15 +22,21 @@ class NoiseModel(Enum):
     SPECKLE = "speckle"
 
 
+def check_budget(photons_per_pattern: float) -> float:
+    """The photon budget, refused unless it is positive and finite."""
+    if not 0.0 < photons_per_pattern < math.inf:
+        raise ValueError(f"photon budget must be positive and finite, "
+                         f"got {photons_per_pattern}")
+    return photons_per_pattern
+
+
 def budget_scale(stack, photons_per_pattern: float) -> float:
     """The one global factor that scales a stack of patterns so the mean
     per-pattern total intensity equals the photon budget.
 
     A single scalar preserves relative brightness across positions.
     """
-    if photons_per_pattern <= 0 or not math.isfinite(photons_per_pattern):
-        raise ValueError(f"photon budget must be positive and finite, "
-                         f"got {photons_per_pattern}")
+    check_budget(photons_per_pattern)
     mean_total = np.mean([p.sum() for p in stack])
     if mean_total == 0:
         raise ValueError("cannot scale an all-zero stack to a photon budget")

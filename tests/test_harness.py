@@ -141,6 +141,14 @@ def test_parse_config_empty_tuple_reaches_validation():
         parse_config("scheme_ids =")
 
 
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        (example,) = re.findall(r"```ini\n(.*?)```", f.read(), re.S)
+    cfg = parse_config(example)
+    assert (cfg.scheme_ids, cfg.master_seed) == ((1, 2, 5), 7)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(oversampling=3).validate()
@@ -178,6 +186,17 @@ def test_config_validation():
     (dict(output_dir=""), "output_dir"),
     (dict(mode="fourier"), "^mode: "),
     (dict(noise_model="gaussian"), "^noise_model: "),
+    # each field takes its default's type: a value that only compares equal
+    # to one is refused where it is checked, not deep inside the run
+    (dict(scheme_ids=(2.0,)), "^scheme_ids must be a tuple of ints"),
+    (dict(scheme_ids=(True,)), "^scheme_ids must be a tuple of ints"),
+    (dict(realizations=True), "^realizations must be an int, got True"),
+    (dict(realizations=2.0), "^realizations must be an int, got 2.0"),
+    (dict(realizations=np.int64(2)), "^realizations must be an int"),
+    (dict(oversampling=1.0), "^oversampling must be an int"),
+    (dict(window=(16.0, 16.0)), "^window must be a tuple of ints"),
+    (dict(master_seed=0.0), "^master_seed must be an int"),
+    (dict(adapter=1), "^adapter must be a bool, got 1"),
 ], ids=["duplicate_schemes", "negative_warmup", "negative_refinement",
         "negative_jitter", "inner_sweeps_zero", "outer_rounds_zero",
         "window_too_large", "adapter_mu_c_above_one", "no_schemes",
@@ -186,7 +205,10 @@ def test_config_validation():
         "probe_radius_nan", "tophat_lights_no_pixel", "scan_step_zero",
         "jitter_half_step", "unknown_object_kind", "unknown_probe_kind",
         "negative_master_seed", "no_realizations", "empty_output_dir",
-        "unknown_mode", "unknown_noise_model"])
+        "unknown_mode", "unknown_noise_model", "float_scheme_id",
+        "bool_scheme_id", "bool_realizations", "float_realizations",
+        "numpy_realizations", "float_oversampling", "float_window",
+        "float_master_seed", "int_adapter"])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_config(**overrides).validate()
@@ -204,6 +226,16 @@ def test_equal_configs_hash_equally(key, value):
         **{key: float(value)})
     assert as_int == as_float
     assert as_int.hash() == as_float.hash()
+
+
+@pytest.mark.parametrize("key, value, like", [
+    ("photon_budget", 10000, 1e4), ("photon_budget", np.float64(1e4), 1e4),
+    ("scheme_ids", [1, 2], (1, 2))], ids=["int", "numpy_float", "list"])
+def test_config_validation_accepts_what_hashes_like_its_type(key, value,
+                                                             like):
+    cfg = small_config(**{key: value})
+    cfg.validate()
+    assert cfg.hash() == small_config(**{key: like}).hash()
 
 
 # --- experiment runs ------------------------------------------------------------
@@ -908,6 +940,26 @@ def fail_scheme_1(payload, **error):
      re.escape("no cell for (scheme, realization) [(2, 1)]")),
     (lambda p: p["config"].update(realizations=None),
      "its config names no scheme_ids x realizations grid"),
+    # the config passes the checks of a config built in Python
+    (lambda p: p["config"].update(scheme_ids=[99]),
+     "its config names no scheme_ids x realizations grid: scheme_ids, "),
+    (lambda p: p["config"].update(scheme_ids=[1, 1]),
+     "its config names no scheme_ids x realizations grid: duplicate scheme "
+     "ids"),
+    (lambda p: p["config"].update(realizations=0),
+     "its config names no scheme_ids x realizations grid: realizations must "
+     "be >= 1"),
+    (lambda p: p["config"].update(probe_radius=-1),
+     "its config names no scheme_ids x realizations grid: probe_kind, "
+     "probe_radius, window: "),
+    (lambda p: p["config"].update(seed=1),
+     "its config names no scheme_ids x realizations grid: .*unexpected "
+     "keyword argument 'seed'"),
+    (lambda p: p.update(config_hash="0" * 16),
+     "config_hash '0000000000000000' is not the hash of its config"),
+    # a missing key takes its default, and 1e5 is not the budget that ran
+    (lambda p: p["config"].pop("photon_budget"),
+     "config_hash '[0-9a-f]{16}' is not the hash of its config"),
     # code that lists failed cells reads cell["error"]: a cell holds one,
     # a string, exactly when it failed
     (fail_scheme_1, "cell 0 is not an object with"),
@@ -923,7 +975,11 @@ def fail_scheme_1(payload, **error):
 ], ids=["null_summary", "no_summaries", "null_cells", "cell_without_ok",
         "cell_without_curve", "string_ok", "string_scheme",
         "scheme_off_the_grid", "null_curve", "duplicated_cell",
-        "missing_cell", "no_grid", "failed_cell_without_error", "int_error",
+        "missing_cell", "no_grid", "unknown_scheme_in_config",
+        "duplicate_scheme_in_config", "no_realizations_in_config",
+        "negative_probe_radius_in_config", "unknown_config_key",
+        "edited_config_hash", "config_key_missing",
+        "failed_cell_without_error", "int_error",
         "ok_cell_with_error", "cell_without_seed", "string_seed",
         "null_error_in_curve", "int_curve_entry",
         "three_item_curve_entry", "string_iteration_in_curve"])
@@ -940,6 +996,21 @@ def test_load_refuses_a_malformed_record(tmp_path, tamper, fault):
         json.dump(payload, f)
     with pytest.raises(ValueError, match=f"malformed record: {fault}"):
         load_record(paths["record.json"])
+
+
+def test_load_gives_a_missing_config_key_its_default(tmp_path):
+    record = run_experiment(small_config(scheme_ids=(1,), realizations=1,
+                                         warmup_iterations=2,
+                                         refinement_iterations=2))
+    path = export(record, str(tmp_path))["record.json"]
+    with open(path) as f:
+        payload = json.load(f)
+    # the record ran at the default mode, as a config file that leaves it
+    # out does
+    del payload["config"]["mode"]
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    assert load_record(path).cells == record.cells
 
 
 @pytest.mark.parametrize("curve, final_error", [
