@@ -1,6 +1,6 @@
 """Reconstruction engines: Error Reduction, sequential ptychographic
 sweeps with gradient-descent / Fourier-mix / object-mix update rules, the
-20-scheme benchmark registry, and the intensity-constraint adaptation loop.
+scheme registry, and the intensity-constraint adaptation loop.
 
 A reconstruction runs on one object (H, W), or on a stack (R, H, W) of
 independent reconstructions from a batched Dataset whose patterns[j] is
@@ -260,6 +260,12 @@ class SchemeSpec:
     warmup_iterations: int = 100
     refinement_iterations: int = 200
 
+    def __post_init__(self):
+        if self.warmup_iterations < 0 or self.refinement_iterations < 0:
+            raise ValueError(f"sweep counts must be >= 0, got "
+                             f"{self.warmup_iterations}, "
+                             f"{self.refinement_iterations}")
+
     def describe(self):
         return self.refinement_rule.describe()
 
@@ -293,9 +299,6 @@ def scheme(scheme_id: int,
     if scheme_id not in SCHEMES:
         raise ValueError(f"unknown scheme id {scheme_id}; valid ids are "
                          f"1..{len(SCHEMES)}")
-    if warmup_iterations < 0 or refinement_iterations < 0:
-        raise ValueError(f"sweep counts must be >= 0, got "
-                         f"{warmup_iterations}, {refinement_iterations}")
     return replace(SCHEMES[scheme_id], warmup_iterations=warmup_iterations,
                    refinement_iterations=refinement_iterations)
 

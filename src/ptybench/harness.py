@@ -337,6 +337,16 @@ def environment(cfg: ExperimentConfig, workers: int) -> dict:
             "workers": workers}
 
 
+def _new_record(cfg: ExperimentConfig) -> ExperimentRecord:
+    """`cfg`'s record before it runs: the config as its JSON round trip gives
+    it back, its hash, and every cell holding only its realization's noise
+    seed, in (realization, scheme) order, the order callers sum cells in."""
+    return ExperimentRecord(
+        json.loads(json.dumps(asdict(cfg))), cfg.hash(),
+        {(sid, r): {"seed": realization_seed(cfg.master_seed, r)}
+         for r in range(cfg.realizations) for sid in cfg.scheme_ids})
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     problem = build_problem(cfg)
     # all realizations as one stack at oversampling 1; at oversampling 5
@@ -351,17 +361,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     workers = (1 if cfg.oversampling == 1
                else min(len(cfg.scheme_ids), usable_cpus()))
 
-    # normalize tuples to lists so the in-memory record equals its JSON
-    # round trip
-    config_echo = json.loads(json.dumps(asdict(cfg)))
-    record = ExperimentRecord(config=config_echo, config_hash=cfg.hash())
+    record = _new_record(cfg)
     record.meta["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     record.meta["environment"] = environment(cfg, workers)
-    # in (realization, scheme) order, the order the cells are summed in by
-    # callers that iterate the record
-    record.cells = {(sid, r): {"seed": realization_seed(cfg.master_seed, r)}
-                    for r in range(cfg.realizations)
-                    for sid in cfg.scheme_ids}
     pool = None
     if workers > 1:
         # loaded by its one user: concurrent.futures imports logging, which
@@ -469,15 +471,16 @@ def _check(ok, fault):
 
 
 def load_record(path: str) -> ExperimentRecord:
-    """Load record.json back. A record not shaped as `export` writes it,
-    whose config fails `validate()` or does not hash to its config_hash,
-    whose cells are not exactly its config's scheme x realization grid, or
-    whose stored values are not those of its cells is refused."""
+    """Fill its config's `_new_record` from record.json. A record not shaped
+    as `export` writes it, whose config fails `validate()` or does not hash
+    to its config_hash, whose cells are not exactly that record's or hold
+    another realization's seed, or whose stored values are not its cells' is
+    refused."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
     _check(isinstance(payload, dict), "not a JSON object")
     for name, kind in (("config", dict), ("config_hash", str),
-                       ("cells", list), ("summaries", dict)):
+                       ("cells", list), ("summaries", dict), ("meta", dict)):
         _check(isinstance(payload.get(name), kind),
                f"{name!r} is missing or not a {kind.__name__}")
     try:
@@ -488,10 +491,8 @@ def load_record(path: str) -> ExperimentRecord:
                          f"x realizations grid: {exc}") from exc
     _check(payload["config_hash"] == cfg.hash(), f"config_hash "
            f"{payload['config_hash']!r} is not the hash of its config")
-    grid = {(sid, r) for sid in cfg.scheme_ids
-            for r in range(cfg.realizations)}
-    record = ExperimentRecord(payload["config"], payload["config_hash"],
-                              meta=payload.get("meta", {}))
+    record = _new_record(cfg)
+    record.meta = payload["meta"]
     for n, cell in enumerate(payload["cells"]):
         _check(isinstance(cell, dict) and isinstance(cell.get("ok"), bool)
                and isinstance(cell.get("curve"), list)
@@ -504,9 +505,12 @@ def load_record(path: str) -> ExperimentRecord:
                f"a scheme, realization, int seed and final_error, and an "
                f"error string exactly when it failed")
         key = sid, r = cell.pop("scheme"), cell.pop("realization")
-        _check(type(sid) is int and type(r) is int and key in grid,
+        _check(type(sid) is int and type(r) is int and key in record.cells,
                f"cell {n} (scheme {sid!r}, realization {r!r}) is off the grid")
-        _check(key not in record.cells, f"cell {n} repeats cell {key}")
+        # a skeleton cell holds only its seed until its file cell is merged
+        _check("ok" not in record.cells[key], f"cell {n} repeats cell {key}")
+        _check(cell["seed"] == record.cells[key]["seed"], f"cell {n} holds "
+               f"seed {cell['seed']}, not realization {r}'s")
         for k, entry in enumerate(cell["curve"]):
             # JSON numbers: an int iteration, an int or float error
             _check(isinstance(entry, list) and len(entry) == 2
@@ -526,9 +530,9 @@ def load_record(path: str) -> ExperimentRecord:
             _check(not cell["curve"] and (final is None or type(final) is
                                           float and np.isnan(final)),
                    fault + "a failed cell has a curve or a final_error")
-        record.cells[key] = cell
-    _check(record.cells.keys() == grid, f"no cell for (scheme, realization) "
-           f"{sorted(grid - record.cells.keys())}")
+        record.cells[key].update(cell)
+    missing = sorted(k for k, c in record.cells.items() if "ok" not in c)
+    _check(not missing, f"no cell for (scheme, realization) {missing}")
     # keyed as export writes them
     derived = {str(sid): stats for sid, stats in record.summaries.items()}
     for sid in sorted(payload["summaries"].keys() | derived.keys()):

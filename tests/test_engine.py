@@ -644,6 +644,10 @@ def test_negative_sweep_counts_raise():
         scheme(1, -5, 3)
     with pytest.raises(ValueError, match="sweep counts must be >= 0"):
         scheme(1, 5, -3)
+    # a spec built without `scheme` would otherwise run no sweep
+    with pytest.raises(ValueError, match="sweep counts must be >= 0, got "
+                                         "-3, -2"):
+        pb.SchemeSpec(2, SCHEMES[2].refinement_rule, 0.1, -3, -2)
 
 
 def test_adapter_config_validation():

@@ -805,10 +805,15 @@ def test_export_and_load_round_trip(tmp_path):
     loaded = load_record(paths["record.json"])
     assert loaded.config == record.config
     assert loaded.config_hash == record.config_hash
-    assert set(loaded.cells) == set(record.cells)
+    assert list(loaded.cells) == list(record.cells)
     for key in record.cells:
         assert loaded.cells[key]["curve"] == record.cells[key]["curve"]
     assert loaded.summaries == record.summaries
+    with open(paths["record.json"], "rb") as f:
+        written = f.read()
+    again = export(loaded, str(tmp_path / "again"))["record.json"]
+    with open(again, "rb") as f:
+        assert f.read() == written
 
 
 def test_summary_row_count(tmp_path):
@@ -919,6 +924,15 @@ def fail_scheme_1(payload, **error):
     payload["summaries"]["1"] = {"failed": True}
 
 
+def swap_scheme_2_realizations(payload):
+    """Swaps scheme 2's cells between realizations 0 and 1. The summaries
+    still hold, but compare would pair each scheme 1 error with the other
+    realization's scheme 2 error."""
+    for cell in payload["cells"]:
+        if cell["scheme"] == 2:
+            cell["realization"] = 1 - cell["realization"]
+
+
 @pytest.mark.parametrize("tamper, fault", [
     (lambda p: p["summaries"].update({"1": None}),
      "the summary of scheme 1 is not an object"),
@@ -968,6 +982,14 @@ def fail_scheme_1(payload, **error):
      "cell 0 is not an object with"),
     (lambda p: p["cells"][0].pop("seed"), "cell 0 is not an object with"),
     (lambda p: p["cells"][0].update(seed="7"), "cell 0 is not an object with"),
+    # cells are written in (scheme, realization) order: 0 and 1 are scheme
+    # 1's realizations 0 and 1, 2 and 3 scheme 2's
+    (lambda p: p["cells"][0].update(seed=p["cells"][1]["seed"]),
+     "cell 0 holds seed [0-9]+, not realization 0's"),
+    (swap_scheme_2_realizations,
+     "cell 2 holds seed [0-9]+, not realization 1's"),
+    (lambda p: p.update(meta=[1, 2]), "'meta' is missing or not a dict"),
+    (lambda p: p.pop("meta"), "'meta' is missing or not a dict"),
 ] + [
     (lambda p, entry=entry: p["cells"][0]["curve"].insert(0, entry),
      "cell 0 curve entry 0 is not an \\[iteration, error\\] pair")
@@ -981,7 +1003,8 @@ def fail_scheme_1(payload, **error):
         "edited_config_hash", "config_key_missing",
         "failed_cell_without_error", "int_error",
         "ok_cell_with_error", "cell_without_seed", "string_seed",
-        "null_error_in_curve", "int_curve_entry",
+        "seed_of_another_realization", "swapped_realizations",
+        "list_meta", "no_meta", "null_error_in_curve", "int_curve_entry",
         "three_item_curve_entry", "string_iteration_in_curve"])
 def test_load_refuses_a_malformed_record(tmp_path, tamper, fault):
     record = run_experiment(small_config(realizations=2,
@@ -1010,7 +1033,9 @@ def test_load_gives_a_missing_config_key_its_default(tmp_path):
     del payload["config"]["mode"]
     with open(path, "w") as f:
         json.dump(payload, f)
-    assert load_record(path).cells == record.cells
+    loaded = load_record(path)
+    assert loaded.cells == record.cells
+    assert loaded.config == record.config
 
 
 @pytest.mark.parametrize("curve, final_error", [
